@@ -9,7 +9,7 @@
 //! checkpointed sampling campaign engine (resumable via
 //! `SPEAR_CAMPAIGN_DIR`) instead of full-program simulation.
 
-use spear::experiments::{compile_all, fig6, fig6_sampled, sample_spec_from_env};
+use spear::experiments::{compile_all, fig6, run_matrix_campaign, sample_spec_from_env};
 use spear::report;
 use spear::Machine;
 
@@ -31,7 +31,8 @@ fn main() {
             sample.stride,
             dir.display()
         );
-        fig6_sampled(&workloads, sample, &dir).unwrap_or_else(|e| {
+        let names: Vec<String> = workloads.iter().map(|w| w.name.to_string()).collect();
+        run_matrix_campaign(&names, &Machine::FIG6, None, sample, None, &dir).unwrap_or_else(|e| {
             eprintln!("fig6: sampled campaign failed: {e}");
             std::process::exit(1)
         })

@@ -5,8 +5,9 @@
 //! buys ~7.4% and dedicated units ~6.2% on top of either IFQ size.
 
 use spear::experiments::{compile_all, fig7};
+use spear::parallel_map;
 use spear::report;
-use spear::runner::{parallel_map, run_custom};
+use spear::runner::run_custom;
 use spear::Machine;
 
 fn main() {
@@ -53,7 +54,7 @@ fn main() {
     let jobs: Vec<(usize, usize)> = (0..workloads.len())
         .flat_map(|w| (0..spear_machines.len()).map(move |c| (w, c)))
         .collect();
-    let flat = parallel_map(&jobs, |&(wi, ci)| {
+    let flat = parallel_map(&jobs, 0, |&(wi, ci)| {
         let mut cfg = spear_machines[ci].config(None);
         cfg.spear.as_mut().unwrap().full_priority = true;
         run_custom(

@@ -31,30 +31,23 @@
 //! pass still serves every (machine, latency) point that uses the same
 //! predictor.
 
+use crate::cache::{record_trace, ApproxBytes, ShardCache, TraceCache};
 use crate::checkpoint::{capture_checkpoints_at, capture_interval_checkpoints, CheckpointSet};
-use crate::sample::{aggregate, plan_intervals, Aggregate, Interval, SampleSpec};
-use crate::shard_cache::ShardCache;
-use crate::trace_cache::{record_trace, TraceCache};
-use parking_lot::Mutex;
+use crate::sample::{aggregate, plan_intervals, Aggregate, Interval};
+use crate::spec::{
+    CampaignSpec, CellKey, MachinePoint, ManifestDoc, ShardKey, SimpointSpec, CELL_SCHEMA_VERSION,
+};
 use serde::{Deserialize, Serialize};
 use spear_compiler::{CompilerConfig, SpearCompiler};
-use spear_cpu::{Core, CoreConfig, CoreStats, RunExit, SimpointBlock, StatsExport, TraceSource};
+use spear_cpu::{Core, CoreStats, RunExit, SimpointBlock, StatsExport, TraceSource};
 use spear_isa::SpearBinary;
 use spear_trace::TraceFile;
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Version of the per-cell JSONL record format. Bump on breaking change.
-///
-/// v1 keyed cells by (workload, machine, latency, interval); v2 adds the
-/// branch-predictor spec label as a first-class axis of the cell key and
-/// the manifest fingerprint; v3 adds the instruction-supply front end
-/// (`program` or `trace`) to both.
-pub const CELL_SCHEMA_VERSION: u32 = 3;
 
 /// Cycle ceiling per cell, so one pathological cell cannot hang a
 /// campaign (same ceiling the full-run experiment runner uses).
@@ -67,90 +60,12 @@ const MAX_FUNCTIONAL_INSTS: u64 = 1_000_000_000;
 /// `metrics.prom` (a final heartbeat is always written at the end).
 const HEARTBEAT_EVERY_CELLS: u64 = 10;
 
-/// One (machine, latency) point of the sweep, with its fully resolved
-/// core configuration. The `machine` and `mem_latency` fields are the
-/// cell key; `config` is what actually runs.
-#[derive(Clone, Debug)]
-pub struct MachinePoint {
-    /// Machine model name (e.g. `SPEAR-128`).
-    pub machine: String,
-    /// Main-memory latency in cycles (the key of the Figure 9 sweep).
-    pub mem_latency: u32,
-    /// The resolved configuration (latency already applied).
-    pub config: CoreConfig,
-}
-
-/// SimPoint phase-clustering parameters for a `--simpoint` campaign.
-///
-/// With this set, the prepare phase slices every workload's committed
-/// stream into BBV intervals (one per `sample.interval_len`
-/// instructions), clusters them into phases with a seeded k-means (see
-/// `spear_simpoint`), and cycle-simulates only one *representative*
-/// interval per phase. Each representative's cell carries its phase's
-/// population count as a weight, and the aggregate reconstitutes
-/// whole-program statistics as the weight-blended sum.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SimpointSpec {
-    /// Number of phases; 0 chooses k automatically by BIC.
-    pub k: u64,
-    /// Clusterer seed (projection axes + deterministic k-means).
-    pub seed: u64,
-}
-
-impl Default for SimpointSpec {
-    fn default() -> SimpointSpec {
-        SimpointSpec { k: 0, seed: 42 }
-    }
-}
-
-impl SimpointSpec {
-    /// Canonical one-string form, used as the manifest fingerprint field
-    /// and the shard-cache discriminator (e.g. `k4:seed42`; `k0` = auto).
-    pub fn label(&self) -> String {
-        format!("k{}:seed{}", self.k, self.seed)
-    }
-}
-
-/// What a campaign runs.
-#[derive(Clone, Debug)]
-pub struct CampaignSpec {
-    /// Workload specs: plain abbreviations (`mcf`) or scale-suffixed
-    /// (`mcf@x100`), resolved via `spear_workloads::by_spec`.
-    pub workloads: Vec<String>,
-    /// The (machine, latency) sweep points.
-    pub points: Vec<MachinePoint>,
-    /// Instruction-supply front ends to sweep (`program`, `trace`).
-    /// Empty normalizes to `["program"]`, the historical behavior.
-    /// `trace` cells replay a recorded committed path instead of
-    /// executing semantics; the trace is recorded once per workload
-    /// during the prepare phase (or fetched from a [`TraceCache`]).
-    pub frontends: Vec<String>,
-    /// Interval sampling parameters.
-    pub sample: SampleSpec,
-    /// Worker threads (0 = all available cores).
-    pub threads: usize,
-    /// Stop after executing this many cells in this invocation (used to
-    /// exercise crash-resume in tests and CI; `None` = run to the end).
-    pub max_cells: Option<u64>,
-    /// Windowed-telemetry length in cycles for every cell (`None` =
-    /// windows off). Part of the manifest fingerprint: window shape
-    /// changes the persisted stats, so a resume must match.
-    pub window: Option<u64>,
-    /// SimPoint phase clustering (`None` = systematic sampling as
-    /// before). Part of the manifest fingerprint. Requires `stride == 1`
-    /// (clustering *is* the sampling policy) and is incompatible with
-    /// `window` (windowed telemetry is a cycle partition of one run and
-    /// cannot be weight-blended).
-    pub simpoint: Option<SimpointSpec>,
-}
-
 /// One completed cell, as persisted to `cells.jsonl`.
 ///
-/// Serialization is hand-written (not derived) so the SimPoint `weight`
-/// field is *omitted* when 1: every record a non-simpoint campaign
-/// writes keeps its exact historical bytes, and records from older
-/// writers parse back with the implied unit weight.
-#[derive(Clone, Debug, PartialEq)]
+/// The SimPoint `weight` field is *omitted* when 1: every record a
+/// non-simpoint campaign writes keeps its exact historical bytes, and
+/// records from older writers parse back with the implied unit weight.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CellResult {
     /// Record format version ([`CELL_SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -175,6 +90,7 @@ pub struct CellResult {
     /// plain campaign cell, the phase's population count for a SimPoint
     /// representative. Aggregation scale-sums the cell's statistics by
     /// this factor (see `spear_cpu::CoreStats::merge_scaled`).
+    #[serde(default = "unit_weight", skip_serializing_if = "is_unit_weight")]
     pub weight: u64,
     /// How the cell's simulation ended (`InstBudget` for interior
     /// intervals, `Halted` for the final one).
@@ -185,72 +101,30 @@ pub struct CellResult {
     pub stats: CoreStats,
 }
 
-impl Serialize for CellResult {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("machine".to_string(), self.machine.to_value()),
-            ("bpred".to_string(), self.bpred.to_value()),
-            ("frontend".to_string(), self.frontend.to_value()),
-            ("mem_latency".to_string(), self.mem_latency.to_value()),
-            ("interval".to_string(), self.interval.to_value()),
-            ("start_inst".to_string(), self.start_inst.to_value()),
-            ("target_insts".to_string(), self.target_insts.to_value()),
-        ];
-        if self.weight != 1 {
-            fields.push(("weight".to_string(), self.weight.to_value()));
-        }
-        fields.push(("exit".to_string(), self.exit.to_value()));
-        fields.push(("wall_ms".to_string(), self.wall_ms.to_value()));
-        fields.push(("stats".to_string(), self.stats.to_value()));
-        serde::Value::Object(fields)
-    }
+fn unit_weight() -> u64 {
+    1
 }
 
-impl Deserialize for CellResult {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(CellResult {
-            schema_version: u32::from_value(v.field("schema_version")?)?,
-            workload: String::from_value(v.field("workload")?)?,
-            machine: String::from_value(v.field("machine")?)?,
-            bpred: String::from_value(v.field("bpred")?)?,
-            frontend: String::from_value(v.field("frontend")?)?,
-            mem_latency: u32::from_value(v.field("mem_latency")?)?,
-            interval: u64::from_value(v.field("interval")?)?,
-            start_inst: u64::from_value(v.field("start_inst")?)?,
-            target_insts: u64::from_value(v.field("target_insts")?)?,
-            // Absent in records from non-simpoint campaigns and older
-            // writers: both mean the unit weight.
-            weight: match v.field("weight") {
-                Ok(val) => u64::from_value(val)?,
-                Err(_) => 1,
-            },
-            exit: RunExit::from_value(v.field("exit")?)?,
-            wall_ms: u64::from_value(v.field("wall_ms")?)?,
-            stats: CoreStats::from_value(v.field("stats")?)?,
-        })
-    }
+fn is_unit_weight(weight: &u64) -> bool {
+    *weight == 1
 }
-
-type CellKey = (String, String, String, String, u32, u64);
 
 impl CellResult {
     /// The cell's identity within a campaign.
     pub fn key(&self) -> CellKey {
-        (
-            self.workload.clone(),
-            self.machine.clone(),
-            self.bpred.clone(),
-            self.frontend.clone(),
-            self.mem_latency,
-            self.interval,
-        )
+        CellKey {
+            workload: self.workload.clone(),
+            machine: self.machine.clone(),
+            bpred: self.bpred.clone(),
+            frontend: self.frontend.clone(),
+            mem_latency: self.mem_latency,
+            interval: self.interval,
+        }
     }
 }
 
 /// Live progress, handed to the `on_progress` callback after every cell.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct ProgressSnapshot {
     /// Cells finished (including ones skipped as already done).
     pub done: u64,
@@ -305,74 +179,6 @@ impl RunSummary {
     }
 }
 
-/// One sweep point as pinned by the manifest: machine model, predictor
-/// spec label, memory latency. (A named struct rather than a tuple —
-/// the vendored serde derives only pair tuples.)
-#[derive(PartialEq, Serialize, Deserialize)]
-struct ManifestPoint {
-    machine: String,
-    bpred: String,
-    mem_latency: u32,
-}
-
-/// The manifest pins the campaign's shape so a resume into the wrong
-/// directory fails loudly instead of silently mixing results.
-///
-/// Hand-written serde: the `simpoint` fingerprint field is omitted when
-/// the campaign does not cluster, so non-simpoint manifests keep their
-/// exact historical bytes (and parse back under older readers).
-#[derive(PartialEq)]
-struct ManifestDoc {
-    version: u32,
-    workloads: Vec<String>,
-    points: Vec<ManifestPoint>,
-    frontends: Vec<String>,
-    interval_len: u64,
-    stride: u64,
-    window: Option<u64>,
-    simpoint: Option<String>,
-}
-
-impl Serialize for ManifestDoc {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("version".to_string(), self.version.to_value()),
-            ("workloads".to_string(), self.workloads.to_value()),
-            ("points".to_string(), self.points.to_value()),
-            ("frontends".to_string(), self.frontends.to_value()),
-            ("interval_len".to_string(), self.interval_len.to_value()),
-            ("stride".to_string(), self.stride.to_value()),
-            // `window` predates `simpoint` and has always been emitted
-            // (as null when off), so it stays unconditional.
-            ("window".to_string(), self.window.to_value()),
-        ];
-        if let Some(s) = &self.simpoint {
-            fields.push(("simpoint".to_string(), s.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ManifestDoc {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(ManifestDoc {
-            version: u32::from_value(v.field("version")?)?,
-            workloads: Vec::<String>::from_value(v.field("workloads")?)?,
-            points: Vec::<ManifestPoint>::from_value(v.field("points")?)?,
-            frontends: Vec::<String>::from_value(v.field("frontends")?)?,
-            interval_len: u64::from_value(v.field("interval_len")?)?,
-            stride: u64::from_value(v.field("stride")?)?,
-            window: Option::<u64>::from_value(v.field("window")?)?,
-            // Absent in manifests from non-simpoint campaigns and older
-            // writers.
-            simpoint: match v.field("simpoint") {
-                Ok(val) => Option::<String>::from_value(val)?,
-                Err(_) => None,
-            },
-        })
-    }
-}
-
 /// A campaign bound to its directory.
 pub struct Campaign {
     dir: PathBuf,
@@ -408,12 +214,11 @@ pub struct WorkloadData {
     pub trace: Option<Arc<TraceFile>>,
 }
 
-impl WorkloadData {
-    /// Approximate resident size in bytes, for the [`ShardCache`] LRU
-    /// budget. Dominated by the per-checkpoint memory images; the binary
-    /// and plan are a flat base charge, and cache/predictor snapshots a
-    /// flat overhead per checkpoint, rather than measured field by field.
-    pub fn approx_bytes(&self) -> u64 {
+/// Dominated by the per-checkpoint memory images; the binary and plan
+/// are a flat base charge, and cache/predictor snapshots a flat overhead
+/// per checkpoint, rather than measured field by field.
+impl ApproxBytes for WorkloadData {
+    fn approx_bytes(&self) -> u64 {
         const BASE_OVERHEAD: u64 = 64 * 1024;
         const PER_CHECKPOINT_OVERHEAD: u64 = 256 * 1024;
         BASE_OVERHEAD
@@ -451,46 +256,14 @@ impl Campaign {
         &self.dir
     }
 
-    /// The spec's front-end list, normalized: empty means the historical
-    /// program-driven campaign.
-    fn frontends(&self) -> Vec<String> {
-        if self.spec.frontends.is_empty() {
-            vec!["program".to_string()]
-        } else {
-            self.spec.frontends.clone()
-        }
-    }
-
-    fn manifest(&self) -> ManifestDoc {
-        ManifestDoc {
-            version: CELL_SCHEMA_VERSION,
-            workloads: self.spec.workloads.clone(),
-            frontends: self.frontends(),
-            points: self
-                .spec
-                .points
-                .iter()
-                .map(|p| ManifestPoint {
-                    machine: p.machine.clone(),
-                    bpred: p.config.bpred.spec_label(),
-                    mem_latency: p.mem_latency,
-                })
-                .collect(),
-            interval_len: self.spec.sample.interval_len,
-            stride: self.spec.sample.stride,
-            window: self.spec.window,
-            simpoint: self.spec.simpoint.map(|s| s.label()),
-        }
-    }
-
     fn check_or_write_manifest(&self) -> Result<(), String> {
         let path = self.dir.join("manifest.json");
-        let mine = serde::json::to_string_pretty(&self.manifest());
+        let manifest = self.spec.manifest();
         match std::fs::read_to_string(&path) {
             Ok(existing) => {
                 let theirs: ManifestDoc = serde::json::from_str(&existing)
                     .map_err(|e| format!("corrupt manifest {}: {e:?}", path.display()))?;
-                if theirs != self.manifest() {
+                if theirs != manifest {
                     return Err(format!(
                         "campaign directory {} was created for a different spec; \
                          use a fresh directory",
@@ -499,8 +272,10 @@ impl Campaign {
                 }
                 Ok(())
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => std::fs::write(&path, mine)
-                .map_err(|e| format!("cannot write {}: {e}", path.display())),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                std::fs::write(&path, serde::json::to_string_pretty(&manifest))
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))
+            }
             Err(e) => Err(format!("cannot read {}: {e}", path.display())),
         }
     }
@@ -594,36 +369,8 @@ impl Campaign {
     pub fn run_with(&self, opts: &RunOptions<'_>) -> Result<RunSummary, String> {
         let on_progress = opts.on_progress;
         let t0 = Instant::now();
-        if self.spec.workloads.is_empty() || self.spec.points.is_empty() {
-            return Err("campaign needs at least one workload and one machine point".into());
-        }
-        let frontends = self.frontends();
-        for f in &frontends {
-            if f != "program" && f != "trace" {
-                return Err(format!(
-                    "unknown front end `{f}` (expected `program` or `trace`)"
-                ));
-            }
-            if frontends.iter().filter(|g| *g == f).count() > 1 {
-                return Err(format!("front end `{f}` listed more than once"));
-            }
-        }
-        if self.spec.simpoint.is_some() {
-            if self.spec.window.is_some() {
-                return Err("--simpoint is incompatible with --window: windowed \
-                            telemetry is a cycle partition of one run and cannot \
-                            be weight-blended across phase representatives"
-                    .into());
-            }
-            if self.spec.sample.stride != 1 {
-                return Err(format!(
-                    "--simpoint requires stride 1 (phase clustering replaces \
-                     systematic sampling), got stride {}",
-                    self.spec.sample.stride
-                ));
-            }
-        }
-        let needs_trace = frontends.iter().any(|f| f == "trace");
+        self.spec.validate()?;
+        let frontends = self.spec.frontends();
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("cannot create {}: {e}", self.dir.display()))?;
         self.check_or_write_manifest()?;
@@ -638,9 +385,7 @@ impl Campaign {
         let done: HashSet<CellKey> = prior.iter().map(|c| c.key()).collect();
 
         let threads = if self.spec.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
+            available_threads()
         } else {
             self.spec.threads
         };
@@ -650,7 +395,6 @@ impl Campaign {
         // configured predictor, so each spec needs its own warm shards.
         // With a shard cache, warm state built by an earlier job (or an
         // earlier workload of this one) is reused instead of rebuilt.
-        let sample = self.spec.sample;
         let mut bpreds: Vec<(String, spear_bpred::PredictorConfig)> = Vec::new();
         for p in &self.spec.points {
             let label = p.config.bpred.spec_label();
@@ -658,71 +402,49 @@ impl Campaign {
                 bpreds.push((label, p.config.bpred));
             }
         }
-        // Which prepared shard each sweep point uses.
-        let point_shard: Vec<usize> = self
-            .spec
-            .points
-            .iter()
-            .map(|p| {
-                let label = p.config.bpred.spec_label();
-                bpreds.iter().position(|(l, _)| *l == label).expect("seen")
-            })
-            .collect();
-        let prep: Vec<(String, spear_bpred::PredictorConfig)> = self
+        let prep: Vec<(ShardKey, spear_bpred::PredictorConfig)> = self
             .spec
             .workloads
             .iter()
-            .flat_map(|name| bpreds.iter().map(move |(_, cfg)| (name.clone(), *cfg)))
+            .flat_map(|name| {
+                bpreds
+                    .iter()
+                    .map(move |(label, cfg)| (self.spec.shard_key(name, label), *cfg))
+            })
             .collect();
-        // Shards built with a trace attached also serve program cells,
-        // but not vice versa — the supply discriminator keys them apart
-        // in the shard cache.
-        let supply = if needs_trace { "trace" } else { "program" };
-        let simpoint = self.spec.simpoint;
-        // Simpoint shards carry different checkpoints and weights than
-        // plain shards of the same (workload, predictor, supply), so the
-        // clustering parameters discriminate the cache key ("off" when
-        // the campaign does not cluster).
-        let sp_label = simpoint.map_or_else(|| "off".to_string(), |s| s.label());
         let prepared: Vec<Result<Arc<WorkloadData>, String>> =
-            parallel_map(&prep, threads, |(name, cfg)| {
-                let build =
-                    || prepare_workload(name, *cfg, &sample, simpoint, needs_trace, opts.traces);
+            parallel_map(&prep, threads, |(key, cfg)| {
+                let build = || prepare_workload(key, *cfg, opts.traces);
                 match opts.cache {
-                    Some(cache) => cache.get_or_create(
-                        name,
-                        &cfg.spec_label(),
-                        supply,
-                        &sp_label,
-                        &sample,
-                        build,
-                    ),
+                    Some(cache) => cache.get_or_create(key.clone(), build),
                     None => build().map(Arc::new),
                 }
             });
-        let mut wds = Vec::with_capacity(prepared.len());
-        for r in prepared {
-            wds.push(r?);
-        }
+        let wds = prepared.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         // Enumerate cells in deterministic order and drop completed ones.
         let mut pending = Vec::new();
         let mut total: u64 = 0;
         for w in 0..self.spec.workloads.len() {
             for (p, point) in self.spec.points.iter().enumerate() {
-                let shard = w * bpreds.len() + point_shard[p];
+                let label = point.config.bpred.spec_label();
+                let shard = w * bpreds.len()
+                    + bpreds
+                        .iter()
+                        .position(|(l, _)| *l == label)
+                        .expect("every point's predictor was prepared");
                 let wd = &wds[shard];
                 for (f, frontend) in frontends.iter().enumerate() {
                     for (i, &interval) in wd.intervals.iter().enumerate() {
                         total += 1;
-                        let key = (
-                            wd.name.clone(),
-                            point.machine.clone(),
-                            wd.bpred.clone(),
-                            frontend.clone(),
-                            point.mem_latency,
-                            interval.index,
-                        );
+                        let key = CellKey {
+                            workload: wd.name.clone(),
+                            machine: point.machine.clone(),
+                            bpred: wd.bpred.clone(),
+                            frontend: frontend.clone(),
+                            mem_latency: point.mem_latency,
+                            interval: interval.index,
+                        };
                         if !done.contains(&key) {
                             pending.push(Cell {
                                 w: shard,
@@ -789,9 +511,9 @@ impl Campaign {
         };
 
         let cancel = opts.cancel;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads.min(pending.len().max(1)) {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     // A cancel drains like `max_cells`: in-flight cells
                     // finish and are persisted; nothing new is claimed.
                     if stop.load(Ordering::SeqCst)
@@ -823,35 +545,29 @@ impl Campaign {
                         Ok(res) => {
                             let line = serde::json::to_string(&res);
                             {
-                                let mut f = sink.lock();
+                                let mut f = sink.lock().expect("a cell worker panicked");
                                 let io = writeln!(f, "{line}").and_then(|_| f.flush());
                                 if let Err(e) = io {
-                                    *first_error.lock() =
+                                    *first_error.lock().expect("a cell worker panicked") =
                                         Some(format!("cannot append cell result: {e}"));
                                     stop.store(true, Ordering::SeqCst);
                                     break;
                                 }
                             }
-                            let fingerprint = format!(
-                                "{}/{}/{}/{}/{}/{}",
-                                res.workload,
-                                res.machine,
-                                res.bpred,
-                                res.frontend,
-                                res.mem_latency,
-                                res.interval
-                            );
+                            let fingerprint = res.key().to_string();
                             wall_sum_ms.fetch_add(res.wall_ms, Ordering::SeqCst);
                             committed_sum.fetch_add(res.stats.committed, Ordering::SeqCst);
-                            new_results.lock().push(res);
+                            new_results
+                                .lock()
+                                .expect("a cell worker panicked")
+                                .push(res);
                             let d = done_count.fetch_add(1, Ordering::SeqCst) + 1;
+                            let mut last = heartbeat.lock().expect("a cell worker panicked");
+                            *last = fingerprint;
                             if d.is_multiple_of(HEARTBEAT_EVERY_CELLS) {
-                                let mut last = heartbeat.lock();
-                                *last = fingerprint.clone();
                                 beat(&last);
-                            } else {
-                                *heartbeat.lock() = fingerprint;
                             }
+                            drop(last);
                             if let Some(cb) = on_progress {
                                 let ex = executed.load(Ordering::SeqCst).min(budget);
                                 cb(&ProgressSnapshot {
@@ -869,27 +585,26 @@ impl Campaign {
                             }
                         }
                         Err(e) => {
-                            let mut slot = first_error.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
+                            first_error
+                                .lock()
+                                .expect("a cell worker panicked")
+                                .get_or_insert(e);
                             stop.store(true, Ordering::SeqCst);
                             break;
                         }
                     }
                 });
             }
-        })
-        .expect("campaign worker panicked");
+        });
 
         // Final heartbeat so `progress.json` reflects the end state even
         // when the cell count never hit the heartbeat interval.
-        beat(&heartbeat.lock().clone());
+        beat(&heartbeat.into_inner().expect("a cell worker panicked"));
 
-        if let Some(e) = first_error.into_inner() {
+        if let Some(e) = first_error.into_inner().expect("a cell worker panicked") {
             return Err(e);
         }
-        let new = new_results.into_inner();
+        let new = new_results.into_inner().expect("a cell worker panicked");
         let executed = new.len() as u64;
         let interrupted = executed + skipped < total;
         let mut results = prior;
@@ -946,29 +661,21 @@ pub fn write_aggregate_envelopes(
         .map_err(|e| format!("cannot create {}: {e}", agg_dir.display()))?;
     let mut written = Vec::with_capacity(aggs.len());
     for a in &aggs {
-        // An aggregate reached the workload's halt only if its group
-        // contains the final (halting) interval.
-        let halted = results.iter().any(|c| {
-            c.workload == a.workload
-                && c.machine == a.machine
-                && c.bpred == a.bpred
-                && c.frontend == a.frontend
-                && c.mem_latency == a.mem_latency
-                && c.exit == RunExit::Halted
-        });
+        let k = &a.key;
+        let exit = if a.halted {
+            RunExit::Halted
+        } else {
+            RunExit::InstBudget
+        };
         let mut doc = StatsExport::new(
-            a.workload.clone(),
-            &a.machine,
-            a.mem_latency,
-            if halted {
-                RunExit::Halted
-            } else {
-                RunExit::InstBudget
-            },
+            k.workload.clone(),
+            &k.machine,
+            k.mem_latency,
+            exit,
             a.stats.clone(),
         )
-        .with_bpred(&a.bpred)
-        .with_frontend(&a.frontend);
+        .with_bpred(&k.bpred)
+        .with_frontend(&k.frontend);
         if let Some((sp, interval_len)) = simpoint {
             doc = doc.with_simpoint(SimpointBlock {
                 k: sp.k,
@@ -978,20 +685,7 @@ pub fn write_aggregate_envelopes(
                 intervals: a.weight,
             });
         }
-        // Default-axis groups (bimodal predictor, program front end)
-        // keep the historical filename; other predictors insert their
-        // sanitized spec label and other front ends their name, so a
-        // sweep's groups never collide.
-        let mut stem = format!("{}-{}", a.workload, a.machine.replace('.', "_"));
-        if a.bpred != "bimodal" {
-            stem.push('-');
-            stem.push_str(&a.bpred.replace([':', ',', '='], "_"));
-        }
-        if a.frontend != "program" {
-            stem.push('-');
-            stem.push_str(&a.frontend);
-        }
-        let file = agg_dir.join(format!("{stem}-{}.json", a.mem_latency));
+        let file = agg_dir.join(format!("{}.json", k.file_stem()));
         std::fs::write(&file, doc.to_json())
             .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
         written.push(file);
@@ -1055,60 +749,59 @@ pub fn write_heartbeat(dir: &Path, hb: &HeartbeatDoc) -> Result<(), String> {
             .map_err(|e| format!("cannot rename {} -> {}: {e}", tmp.display(), fin.display()))
     };
     atomic("progress.json", serde::json::to_string_pretty(hb))?;
+    let eta = hb
+        .eta_ms
+        .map_or_else(|| "NaN".to_string(), |v| v.to_string());
+    let gauges = [
+        (
+            "cells_done",
+            "Cells finished, including previously completed ones.",
+            hb.done.to_string(),
+        ),
+        (
+            "cells_total",
+            "Total cells in the campaign.",
+            hb.total.to_string(),
+        ),
+        (
+            "cells_executed",
+            "Cells executed by this invocation.",
+            hb.executed.to_string(),
+        ),
+        ("threads", "Worker threads in use.", hb.threads.to_string()),
+        (
+            "elapsed_ms",
+            "Wall-clock ms since this invocation started.",
+            hb.elapsed_ms.to_string(),
+        ),
+        (
+            "eta_ms",
+            "Estimated remaining ms (absent until the first cell finishes).",
+            eta,
+        ),
+        (
+            "committed_insts",
+            "Committed instructions simulated by this invocation.",
+            hb.committed_insts.to_string(),
+        ),
+        (
+            "kips",
+            "Committed kilo-instructions per wall-clock second, all shards.",
+            format!("{:.3}", hb.kips),
+        ),
+        (
+            "kips_per_shard",
+            "Mean per-shard simulation throughput in KIPS.",
+            format!("{:.3}", hb.kips_per_shard),
+        ),
+    ];
     let mut prom = String::new();
-    let mut gauge = |name: &str, help: &str, value: String| {
+    for (name, help, value) in gauges {
+        let name = format!("spear_campaign_{name}");
         prom.push_str(&format!(
             "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
         ));
-    };
-    gauge(
-        "spear_campaign_cells_done",
-        "Cells finished, including previously completed ones.",
-        hb.done.to_string(),
-    );
-    gauge(
-        "spear_campaign_cells_total",
-        "Total cells in the campaign.",
-        hb.total.to_string(),
-    );
-    gauge(
-        "spear_campaign_cells_executed",
-        "Cells executed by this invocation.",
-        hb.executed.to_string(),
-    );
-    gauge(
-        "spear_campaign_threads",
-        "Worker threads in use.",
-        hb.threads.to_string(),
-    );
-    gauge(
-        "spear_campaign_elapsed_ms",
-        "Wall-clock ms since this invocation started.",
-        hb.elapsed_ms.to_string(),
-    );
-    gauge(
-        "spear_campaign_eta_ms",
-        "Estimated remaining ms (absent until the first cell finishes).",
-        match hb.eta_ms {
-            Some(v) => v.to_string(),
-            None => "NaN".to_string(),
-        },
-    );
-    gauge(
-        "spear_campaign_committed_insts",
-        "Committed instructions simulated by this invocation.",
-        hb.committed_insts.to_string(),
-    );
-    gauge(
-        "spear_campaign_kips",
-        "Committed kilo-instructions per wall-clock second, all shards.",
-        format!("{:.3}", hb.kips),
-    );
-    gauge(
-        "spear_campaign_kips_per_shard",
-        "Mean per-shard simulation throughput in KIPS.",
-        format!("{:.3}", hb.kips_per_shard),
-    );
+    }
     atomic("metrics.prom", prom)
 }
 
@@ -1135,22 +828,20 @@ pub fn workload_timings(results: &[CellResult]) -> Vec<WorkloadTiming> {
     out
 }
 
-/// Phase 1 for one (workload, predictor spec): compile the p-thread
-/// table against the profiling input, attach it to the evaluation image,
-/// and capture warm checkpoints at every sampled interval boundary. The
-/// warmer trains `bpred_cfg`'s predictor, so the checkpoints restore
-/// only into cores configured with the same spec. When the campaign
-/// sweeps the `trace` front end, the workload's committed path is also
-/// recorded (or fetched from `traces`) so trace-backed cells can replay
-/// it.
+/// Phase 1 for one shard: compile the workload's p-thread table against
+/// the profiling input, attach it to the evaluation image, and capture
+/// warm checkpoints at every sampled interval boundary. The warmer trains
+/// `bpred_cfg`'s predictor, so the checkpoints restore only into cores
+/// configured with the same spec. When the shard carries a trace, the
+/// workload's committed path is also recorded (or fetched from `traces`)
+/// so trace-backed cells can replay it.
 fn prepare_workload(
-    name: &str,
+    key: &ShardKey,
     bpred_cfg: spear_bpred::PredictorConfig,
-    sample: &SampleSpec,
-    simpoint: Option<SimpointSpec>,
-    needs_trace: bool,
     traces: Option<&TraceCache>,
 ) -> Result<WorkloadData, String> {
+    let name = key.workload.as_str();
+    let sample = &key.sample;
     let (w, scale) =
         spear_workloads::by_spec(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
     let profile = w.profile_program();
@@ -1161,7 +852,7 @@ fn prepare_workload(
     // The cache substrate is machine-independent (Table 2 geometry is
     // shared by every evaluated model), so these checkpoints serve all
     // (machine, latency) points that share the predictor spec.
-    let (set, intervals, weights) = match simpoint {
+    let (set, intervals, weights) = match key.simpoint {
         None => {
             let set = capture_interval_checkpoints(
                 &binary.program,
@@ -1177,7 +868,6 @@ fn prepare_workload(
             (set, intervals, Vec::new())
         }
         Some(sp) => {
-            debug_assert_eq!(sample.stride, 1, "validated by run_with");
             // Pass A (functional only, no warming): slice the committed
             // stream into basic-block vectors and cluster them into
             // phases. The partial tail interval clusters with the rest —
@@ -1238,17 +928,18 @@ fn prepare_workload(
             (set, intervals, weights)
         }
     };
-    let trace = if needs_trace {
+    let trace = if key.trace {
+        let record = || record_trace(name, &binary, MAX_FUNCTIONAL_INSTS);
         Some(match traces {
-            Some(tc) => tc.get_or_record(name, &binary, MAX_FUNCTIONAL_INSTS)?,
-            None => Arc::new(record_trace(name, &binary, MAX_FUNCTIONAL_INSTS)?),
+            Some(tc) => tc.get_or_create(name.to_string(), record)?,
+            None => Arc::new(record()?),
         })
     } else {
         None
     };
     Ok(WorkloadData {
         name: name.to_string(),
-        bpred: bpred_cfg.spec_label(),
+        bpred: key.bpred.clone(),
         binary,
         set,
         intervals,
@@ -1322,30 +1013,43 @@ fn run_cell(
     })
 }
 
-/// Run `f` over `items` on `threads` workers, preserving order.
-fn parallel_map<T: Sync, R: Send>(
+/// All available cores (4 when the count is unknown).
+fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+}
+
+/// Run `f` over `items` on `threads` workers (0 = all available cores),
+/// preserving order.
+pub fn parallel_map<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
     let n = items.len();
+    let threads = if threads == 0 {
+        available_threads()
+    } else {
+        threads
+    };
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(n.max(1)) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
                 let r = f(&items[i]);
-                results.lock()[i] = Some(r);
+                results.lock().expect("a parallel_map worker panicked")[i] = Some(r);
             });
         }
-    })
-    .expect("worker panicked");
+    });
     results
         .into_inner()
+        .expect("a parallel_map worker panicked")
         .into_iter()
         .map(|r| r.expect("all slots filled"))
         .collect()
@@ -1354,6 +1058,15 @@ fn parallel_map<T: Sync, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        let items: Vec<u64> = (0..100).collect();
+        for threads in [0, 1, 3] {
+            let out = parallel_map(&items, threads, |&x| x * 2);
+            assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+        }
+    }
 
     #[test]
     fn eta_is_unknown_before_the_first_cell_and_under_zero_threads() {

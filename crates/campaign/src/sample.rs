@@ -14,7 +14,8 @@
 //! `sum(committed) / sum(cycles)` over the sampled intervals.
 
 use crate::engine::CellResult;
-use spear_cpu::CoreStats;
+use crate::spec::CellKey;
+use spear_cpu::{CoreStats, RunExit};
 
 /// How to sample a workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,21 +71,16 @@ pub fn plan_intervals(total_insts: u64, spec: &SampleSpec) -> Vec<Interval> {
     out
 }
 
-/// The weighted aggregate of one (workload, machine, predictor, latency)
-/// group of cell results.
+/// The weighted aggregate of one (workload, machine, predictor,
+/// frontend, latency) group of cell results.
 #[derive(Clone, Debug)]
 pub struct Aggregate {
-    /// Workload name.
-    pub workload: String,
-    /// Machine model name.
-    pub machine: String,
-    /// Canonical branch-predictor spec label (`bimodal` for the paper
-    /// default).
-    pub bpred: String,
-    /// Instruction-supply front end (`program` or `trace`).
-    pub frontend: String,
-    /// Main-memory latency in cycles.
-    pub mem_latency: u32,
+    /// The group's axes: the key of its first cell (every cell of the
+    /// group shares all of it but the interval).
+    pub key: CellKey,
+    /// Whether the group contains the workload's final (halting)
+    /// interval.
+    pub halted: bool,
     /// Summed statistics over the group's sampled intervals.
     pub stats: CoreStats,
     /// Number of cells (simulated intervals) in the sum.
@@ -123,41 +119,14 @@ impl Aggregate {
 /// worker threads produced the results or in what order the JSONL lines
 /// landed on disk.
 pub fn aggregate(results: &[CellResult]) -> Vec<Aggregate> {
-    let mut sorted: Vec<&CellResult> = results.iter().collect();
-    sorted.sort_by(|a, b| {
-        (
-            &a.workload,
-            &a.machine,
-            &a.bpred,
-            &a.frontend,
-            a.mem_latency,
-            a.interval,
-        )
-            .cmp(&(
-                &b.workload,
-                &b.machine,
-                &b.bpred,
-                &b.frontend,
-                b.mem_latency,
-                b.interval,
-            ))
-    });
+    let mut keyed: Vec<(CellKey, &CellResult)> = results.iter().map(|c| (c.key(), c)).collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out: Vec<Aggregate> = Vec::new();
-    for cell in sorted {
-        let key_matches = out.last().is_some_and(|a| {
-            a.workload == cell.workload
-                && a.machine == cell.machine
-                && a.bpred == cell.bpred
-                && a.frontend == cell.frontend
-                && a.mem_latency == cell.mem_latency
-        });
-        if !key_matches {
+    for (key, cell) in keyed {
+        if !out.last().is_some_and(|a| a.key.same_group(&key)) {
             out.push(Aggregate {
-                workload: cell.workload.clone(),
-                machine: cell.machine.clone(),
-                bpred: cell.bpred.clone(),
-                frontend: cell.frontend.clone(),
-                mem_latency: cell.mem_latency,
+                key,
+                halted: false,
                 stats: CoreStats::default(),
                 cells: 0,
                 weight: 0,
@@ -175,6 +144,7 @@ pub fn aggregate(results: &[CellResult]) -> Vec<Aggregate> {
         agg.weight += cell.weight;
         agg.target_insts += cell.target_insts * cell.weight;
         agg.wall_ms += cell.wall_ms;
+        agg.halted |= cell.exit == RunExit::Halted;
     }
     out
 }
@@ -182,7 +152,6 @@ pub fn aggregate(results: &[CellResult]) -> Vec<Aggregate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spear_cpu::RunExit;
 
     #[test]
     fn plan_covers_every_instruction_at_stride_one() {
@@ -228,7 +197,7 @@ mod tests {
 
     fn cell(w: &str, m: &str, lat: u32, iv: u64, cycles: u64, committed: u64) -> CellResult {
         CellResult {
-            schema_version: crate::engine::CELL_SCHEMA_VERSION,
+            schema_version: crate::CELL_SCHEMA_VERSION,
             workload: w.to_string(),
             machine: m.to_string(),
             bpred: "bimodal".to_string(),
@@ -260,8 +229,8 @@ mod tests {
         let aggs = aggregate(&results);
         assert_eq!(aggs.len(), 3);
         // Sorted by (workload, machine, latency).
-        assert_eq!(aggs[0].workload, "em3d");
-        assert_eq!(aggs[1].machine, "SPEAR-128");
+        assert_eq!(aggs[0].key.workload, "em3d");
+        assert_eq!(aggs[1].key.machine, "SPEAR-128");
         let mcf_base = &aggs[2];
         assert_eq!(mcf_base.cells, 2);
         assert_eq!(mcf_base.stats.cycles, 500);
@@ -313,8 +282,8 @@ mod tests {
         let results = vec![cell("mcf", "baseline", 120, 0, 100, 100), trace];
         let aggs = aggregate(&results);
         assert_eq!(aggs.len(), 2, "frontend is part of the group key");
-        assert_eq!(aggs[0].frontend, "program");
-        assert_eq!(aggs[1].frontend, "trace");
+        assert_eq!(aggs[0].key.frontend, "program");
+        assert_eq!(aggs[1].key.frontend, "trace");
         assert_eq!(aggs[0].cells, 1);
     }
 
@@ -325,8 +294,8 @@ mod tests {
         let results = vec![cell("mcf", "baseline", 120, 0, 100, 100), tage];
         let aggs = aggregate(&results);
         assert_eq!(aggs.len(), 2, "predictor is part of the group key");
-        assert_eq!(aggs[0].bpred, "bimodal");
-        assert_eq!(aggs[1].bpred, "tage");
+        assert_eq!(aggs[0].key.bpred, "bimodal");
+        assert_eq!(aggs[1].key.bpred, "tage");
         assert_eq!(aggs[0].cells, 1);
     }
 }

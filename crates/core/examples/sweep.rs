@@ -9,7 +9,9 @@
 //! instead of full-program simulation; `SPEAR_CAMPAIGN_DIR` picks the
 //! campaign directory (resumable), defaulting to a per-process temp dir.
 
-use spear::experiments::{compile_all, fig6, fig6_sampled, fig8, sample_spec_from_env, table3};
+use spear::experiments::{
+    compile_all, fig6, fig8, run_matrix_campaign, sample_spec_from_env, table3,
+};
 use spear::report;
 
 fn main() {
@@ -27,10 +29,12 @@ fn main() {
             dir.display()
         );
         let t0 = std::time::Instant::now();
-        let m = fig6_sampled(&ws, sample, &dir).unwrap_or_else(|e| {
-            eprintln!("sweep: sampled campaign failed: {e}");
-            std::process::exit(1)
-        });
+        let names: Vec<String> = ws.iter().map(|w| w.name.to_string()).collect();
+        let m = run_matrix_campaign(&names, &spear::Machine::FIG6, None, sample, None, &dir)
+            .unwrap_or_else(|e| {
+                eprintln!("sweep: sampled campaign failed: {e}");
+                std::process::exit(1)
+            });
         eprintln!("sampled fig6 matrix in {:?}", t0.elapsed());
         m
     } else {

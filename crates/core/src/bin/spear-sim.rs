@@ -15,7 +15,7 @@
 
 use spear::export::{SimPerf, StatsExport};
 use spear::{report, Machine};
-use spear_campaign::{Campaign, CampaignSpec, MachinePoint, SampleSpec, SimpointSpec};
+use spear_campaign::{Campaign, JobSpec};
 use spear_cpu::{Core, TraceSource};
 use spear_isa::binfile;
 use spear_mem::LatencyConfig;
@@ -110,8 +110,18 @@ fn split_bpred_list(s: &str) -> Vec<String> {
     out
 }
 
-/// Parse a numeric flag value, reporting the offending text on failure.
-fn parse_num<T: std::str::FromStr>(flag: &str, val: &str) -> T {
+/// The value following `flag`, or a usage error.
+fn next_val(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next().unwrap_or_else(|| {
+        eprintln!("spear-sim: {flag} needs a value");
+        exit(exitcode::USAGE)
+    })
+}
+
+/// The numeric value following `flag`, reporting the offending text on
+/// failure.
+fn next_num<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let val = next_val(it, flag);
     val.parse().unwrap_or_else(|_| {
         eprintln!("spear-sim: {flag} expects a number, got `{val}`");
         exit(exitcode::USAGE)
@@ -152,18 +162,10 @@ fn record_main(args: Vec<String>) -> ! {
     let mut max_insts = u64::MAX;
 
     let mut it = args.into_iter();
-    let next_val = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("spear-sim: {flag} needs a value");
-            exit(exitcode::USAGE)
-        })
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--trace-out" => out = Some(next_val(&mut it, "--trace-out")),
-            "--max-insts" => {
-                max_insts = parse_num("--max-insts", &next_val(&mut it, "--max-insts"))
-            }
+            "--max-insts" => max_insts = next_num(&mut it, "--max-insts"),
             _ if file.is_none() && !arg.starts_with('-') => file = Some(arg),
             _ => {
                 eprintln!("spear-sim: unrecognized record argument `{arg}`");
@@ -207,84 +209,37 @@ fn record_main(args: Vec<String>) -> ! {
 
 /// The `campaign` subcommand: run (or resume) a checkpointed sampled
 /// campaign and write one `--stats-json`-shaped envelope per aggregate.
+/// The flags fill a [`JobSpec`] field for flag — the same wire form
+/// `POST /jobs` takes — so the CLI and the server share one resolver and
+/// one validator.
 fn campaign_main(args: Vec<String>) -> ! {
     let mut dir: Option<String> = None;
-    let mut workloads = vec!["all".to_string()];
-    let mut machines = vec![Machine::Baseline, Machine::Spear128, Machine::Spear256];
-    let mut bpreds = vec![spear_bpred::PredictorConfig::paper()];
-    let mut frontends: Vec<String> = Vec::new();
-    let mut latency: Option<LatencyConfig> = None;
-    let mut interval: u64 = 100_000;
-    let mut stride: u64 = 1;
+    let mut job = JobSpec {
+        workloads: vec!["all".to_string()],
+        machines: Machine::FIG6.iter().map(|m| m.name().to_string()).collect(),
+        ..JobSpec::default()
+    };
     let mut threads: usize = 0;
-    let mut max_cells: Option<u64> = None;
-    let mut window: Option<u64> = None;
-    let mut simpoint = false;
-    let mut simpoint_k: u64 = 0;
-    let mut simpoint_seed: u64 = 42;
     let mut quiet = false;
 
+    let list = |v: String| -> Vec<String> { v.split(',').map(str::to_string).collect() };
     let mut it = args.into_iter();
-    let next_val = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("spear-sim: {flag} needs a value");
-            exit(exitcode::USAGE)
-        })
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--dir" => dir = Some(next_val(&mut it, "--dir")),
-            "--workloads" => {
-                workloads = next_val(&mut it, "--workloads")
-                    .split(',')
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--machines" => {
-                machines = next_val(&mut it, "--machines")
-                    .split(',')
-                    .map(parse_machine)
-                    .collect()
-            }
-            "--bpreds" => {
-                bpreds = split_bpred_list(&next_val(&mut it, "--bpreds"))
-                    .iter()
-                    .map(|s| parse_bpred(s))
-                    .collect()
-            }
-            "--frontends" => {
-                frontends = next_val(&mut it, "--frontends")
-                    .split(',')
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--mem-latency" => {
-                let mem: u32 = parse_num("--mem-latency", &next_val(&mut it, "--mem-latency"));
-                latency = Some(LatencyConfig::sweep_point(mem));
-            }
-            "--interval" => interval = parse_num("--interval", &next_val(&mut it, "--interval")),
-            "--stride" => stride = parse_num("--stride", &next_val(&mut it, "--stride")),
-            "--threads" => threads = parse_num("--threads", &next_val(&mut it, "--threads")),
-            "--max-cells" => {
-                max_cells = Some(parse_num("--max-cells", &next_val(&mut it, "--max-cells")))
-            }
-            "--window" => {
-                let n: u64 = parse_num("--window", &next_val(&mut it, "--window"));
-                window = Some(if n == 0 {
-                    spear_cpu::DEFAULT_WINDOW_CYCLES
-                } else {
-                    n
-                });
-            }
-            "--simpoint" => simpoint = true,
-            "--simpoint-k" => {
-                simpoint = true;
-                simpoint_k = parse_num("--simpoint-k", &next_val(&mut it, "--simpoint-k"));
-            }
-            "--simpoint-seed" => {
-                simpoint = true;
-                simpoint_seed = parse_num("--simpoint-seed", &next_val(&mut it, "--simpoint-seed"));
-            }
+            "--workloads" => job.workloads = list(next_val(&mut it, "--workloads")),
+            "--machines" => job.machines = list(next_val(&mut it, "--machines")),
+            "--bpreds" => job.bpreds = split_bpred_list(&next_val(&mut it, "--bpreds")),
+            "--frontends" => job.frontends = list(next_val(&mut it, "--frontends")),
+            "--mem-latency" => job.mem_latency = Some(next_num(&mut it, "--mem-latency")),
+            "--interval" => job.interval = next_num(&mut it, "--interval"),
+            "--stride" => job.stride = next_num(&mut it, "--stride"),
+            "--threads" => threads = next_num(&mut it, "--threads"),
+            "--max-cells" => job.max_cells = Some(next_num(&mut it, "--max-cells")),
+            "--window" => job.window = Some(next_num(&mut it, "--window")),
+            "--simpoint" => job.simpoint = true,
+            "--simpoint-k" => job.simpoint_k = Some(next_num(&mut it, "--simpoint-k")),
+            "--simpoint-seed" => job.simpoint_seed = Some(next_num(&mut it, "--simpoint-seed")),
             "--quiet" => quiet = true,
             _ => {
                 eprintln!("spear-sim: unrecognized campaign argument `{arg}`");
@@ -296,63 +251,10 @@ fn campaign_main(args: Vec<String>) -> ! {
         eprintln!("spear-sim: campaign needs --dir");
         usage()
     };
-    if workloads.iter().any(|w| w == "all") {
-        workloads = spear_workloads::all()
-            .iter()
-            .map(|w| w.name.to_string())
-            .collect();
-    }
-    for name in &workloads {
-        if spear_workloads::by_spec(name).is_none() {
-            eprintln!("spear-sim: unknown workload `{name}`");
-            exit(exitcode::USAGE)
-        }
-    }
-    if interval == 0 || stride == 0 {
-        eprintln!("spear-sim: --interval and --stride must be nonzero");
+    let spec = job.resolve(threads).unwrap_or_else(|e| {
+        eprintln!("spear-sim: {e}");
         exit(exitcode::USAGE)
-    }
-    if simpoint && window.is_some() {
-        eprintln!(
-            "spear-sim: --simpoint is incompatible with --window (windowed \
-             telemetry cannot be weight-blended across phase representatives)"
-        );
-        exit(exitcode::USAGE)
-    }
-    if simpoint && stride != 1 {
-        eprintln!("spear-sim: --simpoint requires --stride 1 (clustering replaces sampling)");
-        exit(exitcode::USAGE)
-    }
-
-    let mem_latency = latency.unwrap_or_else(LatencyConfig::paper).memory;
-    let mut points = Vec::with_capacity(machines.len() * bpreds.len());
-    for &m in &machines {
-        for &bp in &bpreds {
-            let mut config = m.config(latency);
-            config.bpred = bp;
-            points.push(MachinePoint {
-                machine: m.name().to_string(),
-                mem_latency,
-                config,
-            });
-        }
-    }
-    let spec = CampaignSpec {
-        workloads,
-        points,
-        frontends,
-        sample: SampleSpec {
-            interval_len: interval,
-            stride,
-        },
-        threads,
-        max_cells,
-        window,
-        simpoint: simpoint.then_some(SimpointSpec {
-            k: simpoint_k,
-            seed: simpoint_seed,
-        }),
-    };
+    });
     let campaign = Campaign::new(&dir, spec.clone());
     let progress = |p: &spear_campaign::ProgressSnapshot| {
         eprintln!("{}", report::campaign_progress(p));
@@ -372,7 +274,7 @@ fn campaign_main(args: Vec<String>) -> ! {
     spear_campaign::write_aggregate_envelopes(
         std::path::Path::new(&dir),
         &summary.results,
-        spec.simpoint.map(|sp| (sp, interval)),
+        spec.simpoint.map(|sp| (sp, spec.sample.interval_len)),
     )
     .unwrap_or_else(|e| {
         eprintln!("spear-sim: {e}");
@@ -406,10 +308,10 @@ fn campaign_main(args: Vec<String>) -> ! {
         for a in &aggs {
             println!(
                 "  {:<12} {:<14} {:<10} lat {:>3}  cells {:>4}  IPC {:.4}  {:.0} KIPS",
-                a.workload,
-                a.machine,
-                a.bpred,
-                a.mem_latency,
+                a.key.workload,
+                a.key.machine,
+                a.key.bpred,
+                a.key.mem_latency,
                 a.cells,
                 a.ipc(),
                 a.kips()
@@ -433,21 +335,13 @@ fn serve_main(args: Vec<String>) -> ! {
     let mut cache_mb: u64 = 256;
 
     let mut it = args.into_iter();
-    let next_val = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("spear-sim: {flag} needs a value");
-            exit(exitcode::USAGE)
-        })
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--dir" => dir = Some(next_val(&mut it, "--dir")),
             "--addr" => addr = next_val(&mut it, "--addr"),
-            "--workers" => workers = parse_num("--workers", &next_val(&mut it, "--workers")),
-            "--queue-cap" => {
-                queue_cap = parse_num("--queue-cap", &next_val(&mut it, "--queue-cap"))
-            }
-            "--cache-mb" => cache_mb = parse_num("--cache-mb", &next_val(&mut it, "--cache-mb")),
+            "--workers" => workers = next_num(&mut it, "--workers"),
+            "--queue-cap" => queue_cap = next_num(&mut it, "--queue-cap"),
+            "--cache-mb" => cache_mb = next_num(&mut it, "--cache-mb"),
             _ => {
                 eprintln!("spear-sim: unrecognized serve argument `{arg}`");
                 usage()
@@ -495,12 +389,6 @@ fn client_main(args: Vec<String>) -> ! {
     let mut timeout_s: u64 = 600;
 
     let mut it = args.into_iter();
-    let next_val = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("spear-sim: {flag} needs a value");
-            exit(exitcode::USAGE)
-        })
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--addr" => addr = Some(next_val(&mut it, "--addr")),
@@ -513,9 +401,7 @@ fn client_main(args: Vec<String>) -> ! {
                     exit(exitcode::RUNTIME)
                 }));
             }
-            "--timeout-s" => {
-                timeout_s = parse_num("--timeout-s", &next_val(&mut it, "--timeout-s"))
-            }
+            "--timeout-s" => timeout_s = next_num(&mut it, "--timeout-s"),
             _ if action.is_none() && !arg.starts_with('-') => action = Some(arg),
             _ if job_id.is_none() && !arg.starts_with('-') => job_id = Some(arg),
             _ => {
@@ -656,16 +542,10 @@ fn fuzz_main(args: Vec<String>) -> ! {
     let mut replay: Option<String> = None;
 
     let mut it = args.into_iter();
-    let next_val = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("spear-sim: {flag} needs a value");
-            exit(exitcode::USAGE)
-        })
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--seconds" => seconds = parse_num("--seconds", &next_val(&mut it, "--seconds")),
-            "--seed" => seed = parse_num("--seed", &next_val(&mut it, "--seed")),
+            "--seconds" => seconds = next_num(&mut it, "--seconds"),
+            "--seed" => seed = next_num(&mut it, "--seed"),
             "--corpus" => corpus = Some(next_val(&mut it, "--corpus")),
             "--replay" => replay = Some(next_val(&mut it, "--replay")),
             _ => {
@@ -736,18 +616,12 @@ fn dump_config_main(args: Vec<String>) -> ! {
     let mut latency: Option<LatencyConfig> = None;
 
     let mut it = args.into_iter();
-    let next_val = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("spear-sim: {flag} needs a value");
-            exit(exitcode::USAGE)
-        })
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "-m" | "--machine" => machine = parse_machine(&next_val(&mut it, "-m")),
             "--bpred" => bpred = Some(parse_bpred(&next_val(&mut it, "--bpred"))),
             "--mem-latency" => {
-                let mem: u32 = parse_num("--mem-latency", &next_val(&mut it, "--mem-latency"));
+                let mem: u32 = next_num(&mut it, "--mem-latency");
                 latency = Some(LatencyConfig::sweep_point(mem));
             }
             _ => {
@@ -831,34 +705,24 @@ fn main() {
     let mut frontend: Option<String> = None;
 
     let mut it = args.into_iter();
-    let next_val = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("spear-sim: {flag} needs a value");
-            exit(exitcode::USAGE)
-        })
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "-m" | "--machine" => machine = parse_machine(&next_val(&mut it, "-m")),
             "--bpred" => bpred = Some(parse_bpred(&next_val(&mut it, "--bpred"))),
             "--mem-latency" => {
-                let mem: u32 = parse_num("--mem-latency", &next_val(&mut it, "--mem-latency"));
+                let mem: u32 = next_num(&mut it, "--mem-latency");
                 latency = Some(LatencyConfig::sweep_point(mem));
             }
-            "--max-cycles" => {
-                max_cycles = parse_num("--max-cycles", &next_val(&mut it, "--max-cycles"))
-            }
-            "--max-insts" => {
-                max_insts = parse_num("--max-insts", &next_val(&mut it, "--max-insts"))
-            }
-            "--trace" => trace = Some(parse_num("--trace", &next_val(&mut it, "--trace"))),
+            "--max-cycles" => max_cycles = next_num(&mut it, "--max-cycles"),
+            "--max-insts" => max_insts = next_num(&mut it, "--max-insts"),
+            "--trace" => trace = Some(next_num(&mut it, "--trace")),
             "--frontend" => frontend = Some(next_val(&mut it, "--frontend")),
             "--stats-json" => stats_json = Some(next_val(&mut it, "--stats-json")),
             "--trace-file" => trace_file = Some(next_val(&mut it, "--trace-file")),
             "--pipeview" => pipeview = Some(next_val(&mut it, "--pipeview")),
             "--perfetto" => perfetto = Some(next_val(&mut it, "--perfetto")),
             "--window" => {
-                let n: u64 = parse_num("--window", &next_val(&mut it, "--window"));
+                let n: u64 = next_num(&mut it, "--window");
                 // 0 selects the default window length.
                 window = Some(if n == 0 {
                     spear_cpu::DEFAULT_WINDOW_CYCLES

@@ -6,8 +6,10 @@
 //! paper's row/series format.
 
 use crate::machines::Machine;
-use crate::runner::{compile_workload, parallel_map, run_one, RunOutcome};
-use spear_campaign::{Campaign, CampaignSpec, MachinePoint, SampleSpec, SimpointSpec};
+use crate::runner::{compile_workload, run_one, RunOutcome};
+use spear_campaign::{
+    parallel_map, Campaign, CampaignSpec, MachinePoint, SampleSpec, SimpointSpec,
+};
 use spear_compiler::CompileReport;
 use spear_cpu::CoreStats;
 use spear_exec::Interp;
@@ -28,7 +30,7 @@ pub struct Compiled {
 
 /// Run the SPEAR compiler over every workload in parallel.
 pub fn compile_all(workloads: &[Workload]) -> Compiled {
-    let compiled = parallel_map(workloads, compile_workload);
+    let compiled = parallel_map(workloads, 0, compile_workload);
     let (tables, reports) = compiled.into_iter().unzip();
     Compiled {
         workloads: workloads.to_vec(),
@@ -97,7 +99,7 @@ pub fn run_matrix(compiled: &Compiled, machines: &[Machine]) -> IpcMatrix {
     let jobs: Vec<(usize, usize)> = (0..compiled.workloads.len())
         .flat_map(|r| (0..machines.len()).map(move |c| (r, c)))
         .collect();
-    let flat = parallel_map(&jobs, |&(r, c)| {
+    let flat = parallel_map(&jobs, 0, |&(r, c)| {
         run_one(
             &compiled.workloads[r],
             &compiled.tables[r],
@@ -127,58 +129,20 @@ pub fn fig6(compiled: &Compiled) -> IpcMatrix {
     run_matrix(compiled, &Machine::FIG6)
 }
 
-/// Sampled counterpart of [`run_matrix`]: route the workload × machine
-/// grid through the checkpointed campaign engine (see `spear-campaign`)
-/// instead of full-program cycle simulation. The campaign directory
+/// Campaign-backed counterpart of [`run_matrix`]: route the workload ×
+/// machine grid through the checkpointed campaign engine (see
+/// `spear-campaign`) instead of full-program cycle simulation — every
+/// `sample.stride`-th interval, or with `simpoint` one weighted
+/// representative interval per phase. `names` are full workload specs
+/// (`mcf`, or `mcf@x100` to scale the evaluation input — the paper-scale
+/// knob) and become the matrix's workload labels. The campaign directory
 /// `dir` holds per-cell results; rerunning over the same directory
 /// resumes instead of recomputing.
 ///
 /// The returned matrix has the same shape as [`run_matrix`]'s, but each
-/// outcome's statistics are the weighted aggregate over the sampled
+/// outcome's statistics are the weighted aggregate over the simulated
 /// intervals (`sum(committed) / sum(cycles)` for IPC).
-pub fn run_matrix_sampled(
-    workloads: &[Workload],
-    machines: &[Machine],
-    latency: Option<LatencyConfig>,
-    sample: SampleSpec,
-    dir: &std::path::Path,
-) -> Result<IpcMatrix, String> {
-    let names: Vec<String> = workloads.iter().map(|w| w.name.to_string()).collect();
-    run_matrix_campaign(&names, machines, latency, sample, None, dir)
-}
-
-/// SimPoint counterpart of [`run_matrix_sampled`]: phase-cluster each
-/// workload's BBV intervals and cycle-simulate one weighted
-/// representative per phase instead of every `stride`-th interval.
-/// `scale` multiplies the evaluation input (`name@xN` workload specs),
-/// the paper-scale knob for running Figure 6 at 100–1000× the seed
-/// instruction counts.
-pub fn run_matrix_simpoint(
-    workloads: &[Workload],
-    machines: &[Machine],
-    latency: Option<LatencyConfig>,
-    sample: SampleSpec,
-    simpoint: SimpointSpec,
-    scale: u32,
-    dir: &std::path::Path,
-) -> Result<IpcMatrix, String> {
-    let names: Vec<String> = workloads
-        .iter()
-        .map(|w| {
-            if scale > 1 {
-                format!("{}@x{scale}", w.name)
-            } else {
-                w.name.to_string()
-            }
-        })
-        .collect();
-    run_matrix_campaign(&names, machines, latency, sample, Some(simpoint), dir)
-}
-
-/// The campaign-backed matrix runner behind [`run_matrix_sampled`] and
-/// [`run_matrix_simpoint`]: `names` are full workload specs (possibly
-/// `@xN`-scaled) and become the matrix's workload labels.
-fn run_matrix_campaign(
+pub fn run_matrix_campaign(
     names: &[String],
     machines: &[Machine],
     latency: Option<LatencyConfig>,
@@ -212,7 +176,7 @@ fn run_matrix_campaign(
         for &m in machines {
             let agg = aggs
                 .iter()
-                .find(|a| a.workload == *name && a.machine == m.name())
+                .find(|a| a.key.workload == *name && a.key.machine == m.name())
                 .ok_or_else(|| format!("campaign produced no cells for {name} on {m}"))?;
             row.push(RunOutcome {
                 workload: name.clone(),
@@ -228,36 +192,6 @@ fn run_matrix_campaign(
         workloads: names.to_vec(),
         outcomes,
     })
-}
-
-/// **Figure 6**, sampled: the same three-machine matrix estimated from
-/// checkpointed interval simulation.
-pub fn fig6_sampled(
-    workloads: &[Workload],
-    sample: SampleSpec,
-    dir: &std::path::Path,
-) -> Result<IpcMatrix, String> {
-    run_matrix_sampled(workloads, &Machine::FIG6, None, sample, dir)
-}
-
-/// **Figure 6**, SimPoint-sampled at `scale`× the evaluation inputs: the
-/// paper-scale phase-clustered estimate.
-pub fn fig6_simpoint(
-    workloads: &[Workload],
-    sample: SampleSpec,
-    simpoint: SimpointSpec,
-    scale: u32,
-    dir: &std::path::Path,
-) -> Result<IpcMatrix, String> {
-    run_matrix_simpoint(
-        workloads,
-        &Machine::FIG6,
-        None,
-        sample,
-        simpoint,
-        scale,
-        dir,
-    )
 }
 
 /// Parse the `SPEAR_SAMPLED` environment flag that routes figure sweeps
@@ -391,7 +325,7 @@ pub fn fig9(compiled: &Compiled) -> Vec<Fig9Series> {
             (0..machines.len()).flat_map(move |m| (0..FIG9_LATENCIES.len()).map(move |l| (w, m, l)))
         })
         .collect();
-    let flat = parallel_map(&jobs, |&(w, m, l)| {
+    let flat = parallel_map(&jobs, 0, |&(w, m, l)| {
         run_one(
             &compiled.workloads[w],
             &compiled.tables[w],
@@ -438,7 +372,7 @@ pub struct Table1Row {
 
 /// **Table 1** — benchmark inventory with simulated instruction counts.
 pub fn table1(workloads: &[Workload]) -> Vec<Table1Row> {
-    parallel_map(workloads, |w| {
+    parallel_map(workloads, 0, |w| {
         let count = |p: &spear_isa::Program| {
             let mut i = Interp::new(p);
             i.run(u64::MAX).expect("workload runs");
@@ -557,8 +491,16 @@ mod tests {
         let ws = small_set();
         let dir = std::env::temp_dir().join(format!("spear-sampled-shape-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let m = fig6_sampled(&ws, spear_campaign::SampleSpec::full(50_000), &dir)
-            .expect("sampled fig6");
+        let names: Vec<String> = ws.iter().map(|w| w.name.to_string()).collect();
+        let m = run_matrix_campaign(
+            &names,
+            &Machine::FIG6,
+            None,
+            SampleSpec::full(50_000),
+            None,
+            &dir,
+        )
+        .expect("sampled fig6");
         assert_eq!(m.machines.len(), 3);
         assert_eq!(m.workloads, vec!["field", "mcf"]);
         for r in 0..2 {

@@ -4,8 +4,7 @@
 //!
 //! - [`machines`] — the five evaluated machine models (baseline,
 //!   SPEAR-128/256, SPEAR.sf-128/256),
-//! - [`runner`] — compile-and-simulate plumbing with a parallel sweep
-//!   helper,
+//! - [`runner`] — compile-and-simulate plumbing,
 //! - [`experiments`] — one entry point per table and figure of §5,
 //! - [`report`] — renderers matching the paper's row/series formats.
 //!
@@ -28,4 +27,5 @@ pub mod runner;
 
 pub use export::{StatsExport, SCHEMA_VERSION};
 pub use machines::Machine;
-pub use runner::{compile_workload, parallel_map, run_one, RunOutcome};
+pub use runner::{compile_workload, run_one, RunOutcome};
+pub use spear_campaign::parallel_map;

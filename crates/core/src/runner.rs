@@ -2,14 +2,12 @@
 //! simulate them on the evaluation machines, in parallel.
 
 use crate::machines::Machine;
-use parking_lot::Mutex;
 use spear_compiler::{CompileReport, CompilerConfig, SpearCompiler};
 use spear_cpu::{Core, CoreStats, RunExit};
 use spear_isa::pthread::PThreadTable;
 use spear_isa::SpearBinary;
 use spear_mem::LatencyConfig;
 use spear_workloads::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hard ceilings so a misconfigured run cannot hang the harness.
 const MAX_CYCLES: u64 = 200_000_000;
@@ -113,51 +111,10 @@ pub fn run_custom(
     }
 }
 
-/// Run `f` over `items` on all available cores, preserving order.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                results.lock()[i] = Some(r);
-            });
-        }
-    })
-    .expect("worker panicked");
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spear_workloads::by_name;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |&x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn compile_and_run_field_fast() {

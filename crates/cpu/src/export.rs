@@ -82,11 +82,11 @@ pub struct SimpointBlock {
 /// The top-level JSON document written by `spear-sim --stats-json` and
 /// the campaign aggregate writers.
 ///
-/// Serialization is hand-written (not derived) for one reason: the
-/// optional [`SimPerf`] block must be *omitted* when absent, not
-/// emitted as `null`, so envelopes built without it stay byte-identical
-/// to the pre-`sim_perf` schema (golden files, campaign aggregates).
-#[derive(Clone, Debug, PartialEq)]
+/// Every optional block is *omitted* when absent, not emitted as `null`,
+/// so envelopes built without it stay byte-identical to the schema that
+/// predates it (golden files, campaign aggregates), and documents from
+/// older writers parse back with the block absent.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StatsExport {
     /// Schema version of this document ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -104,82 +104,26 @@ pub struct StatsExport {
     pub stats: CoreStats,
     /// Simulation-throughput self-measurement (additive; absent from
     /// deterministic artifacts).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub sim_perf: Option<SimPerf>,
     /// Canonical branch-predictor spec label (e.g. `tage` or
     /// `tage:tables=8,...`) when the run used a non-default predictor.
     /// `None` — and omitted from JSON — for the paper's bimodal default,
     /// keeping default envelopes byte-identical to the pre-trait schema.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub bpred: Option<String>,
     /// Instruction-supply front end (`trace`) when the run replayed a
     /// recorded trace instead of executing the program. `None` — and
     /// omitted from JSON — for the default program front end, keeping
     /// program-driven envelopes byte-identical to the pre-trace schema.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub frontend: Option<String>,
     /// SimPoint phase-clustering provenance when the statistics are a
     /// weight-blended reconstruction over phase representatives. `None` —
     /// and omitted from JSON — for full and systematically sampled runs,
     /// keeping their envelopes byte-identical to the pre-simpoint schema.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub simpoint: Option<SimpointBlock>,
-}
-
-impl Serialize for StatsExport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("machine".to_string(), self.machine.to_value()),
-            ("mem_latency".to_string(), self.mem_latency.to_value()),
-            ("exit".to_string(), self.exit.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ];
-        if let Some(p) = &self.sim_perf {
-            fields.push(("sim_perf".to_string(), p.to_value()));
-        }
-        if let Some(b) = &self.bpred {
-            fields.push(("bpred".to_string(), b.to_value()));
-        }
-        if let Some(f) = &self.frontend {
-            fields.push(("frontend".to_string(), f.to_value()));
-        }
-        if let Some(s) = &self.simpoint {
-            fields.push(("simpoint".to_string(), s.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for StatsExport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(StatsExport {
-            schema_version: u32::from_value(v.field("schema_version")?)?,
-            workload: String::from_value(v.field("workload")?)?,
-            machine: String::from_value(v.field("machine")?)?,
-            mem_latency: u32::from_value(v.field("mem_latency")?)?,
-            exit: RunExit::from_value(v.field("exit")?)?,
-            stats: CoreStats::from_value(v.field("stats")?)?,
-            // Absent in documents from older writers (and in every
-            // deterministic artifact).
-            sim_perf: match v.field("sim_perf") {
-                Ok(val) => Option::<SimPerf>::from_value(val)?,
-                Err(_) => None,
-            },
-            // Absent for default-predictor runs and older writers.
-            bpred: match v.field("bpred") {
-                Ok(val) => Option::<String>::from_value(val)?,
-                Err(_) => None,
-            },
-            // Absent for program-driven runs and older writers.
-            frontend: match v.field("frontend") {
-                Ok(val) => Option::<String>::from_value(val)?,
-                Err(_) => None,
-            },
-            // Absent for non-simpoint aggregates and older writers.
-            simpoint: match v.field("simpoint") {
-                Ok(val) => Option::<SimpointBlock>::from_value(val)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl StatsExport {

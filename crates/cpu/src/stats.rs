@@ -271,13 +271,11 @@ impl WindowStat {
 
 /// Counters accumulated by one simulation run.
 ///
-/// `Serialize`/`Deserialize` are written by hand (not derived) for one
-/// reason: the `windows` field must be *omitted* when empty so that runs
-/// without windowed telemetry serialize byte-identically to the pre-obs
-/// schema (the golden envelopes pin this), and tolerated when absent on
-/// the way back in. All other fields replicate the derive exactly, in
-/// declaration order.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The `windows` and `bpred_detail` fields are *omitted* from JSON when
+/// empty so that runs without windowed telemetry or predictor internals
+/// serialize byte-identically to the older schema (the golden envelopes
+/// pin this), and default when absent on the way back in.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CoreStats {
     /// Cycles simulated.
     pub cycles: u64,
@@ -357,160 +355,15 @@ pub struct CoreStats {
     pub dload_profiles: Vec<DloadProfile>,
     /// Windowed interval telemetry (empty unless windows were enabled).
     /// Omitted from JSON when empty; see the type-level serde note.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub windows: Vec<WindowStat>,
     /// Predictor-internal counters (e.g. TAGE provider/allocation
     /// activity). `None` for predictors with no internals to report —
     /// including the paper's default bimodal — and omitted from JSON so
     /// default-config envelopes stay byte-identical to the pre-trait
     /// schema.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub bpred_detail: Option<PredictorDetail>,
-}
-
-impl Serialize for CoreStats {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = Vec::new();
-        let mut put = |k: &str, v: serde::Value| fields.push((k.to_string(), v));
-        put("cycles", Serialize::to_value(&self.cycles));
-        put("committed", Serialize::to_value(&self.committed));
-        put(
-            "committed_loads",
-            Serialize::to_value(&self.committed_loads),
-        );
-        put(
-            "committed_stores",
-            Serialize::to_value(&self.committed_stores),
-        );
-        put(
-            "committed_branches",
-            Serialize::to_value(&self.committed_branches),
-        );
-        put("fetched", Serialize::to_value(&self.fetched));
-        put("squashed", Serialize::to_value(&self.squashed));
-        put("recoveries", Serialize::to_value(&self.recoveries));
-        put(
-            "triggers_accepted",
-            Serialize::to_value(&self.triggers_accepted),
-        );
-        put(
-            "triggers_ignored_busy",
-            Serialize::to_value(&self.triggers_ignored_busy),
-        );
-        put(
-            "triggers_rejected_occupancy",
-            Serialize::to_value(&self.triggers_rejected_occupancy),
-        );
-        put(
-            "preexec_aborted_flush",
-            Serialize::to_value(&self.preexec_aborted_flush),
-        );
-        put(
-            "preexec_retargets",
-            Serialize::to_value(&self.preexec_retargets),
-        );
-        put(
-            "preexec_aborted_missed",
-            Serialize::to_value(&self.preexec_aborted_missed),
-        );
-        put(
-            "preexec_completed",
-            Serialize::to_value(&self.preexec_completed),
-        );
-        put("pthread_insts", Serialize::to_value(&self.pthread_insts));
-        put("pthread_loads", Serialize::to_value(&self.pthread_loads));
-        put(
-            "missed_extractions",
-            Serialize::to_value(&self.missed_extractions),
-        );
-        put(
-            "livein_copy_cycles",
-            Serialize::to_value(&self.livein_copy_cycles),
-        );
-        put("pthread_faults", Serialize::to_value(&self.pthread_faults));
-        put("bpred", Serialize::to_value(&self.bpred));
-        put("l1d", Serialize::to_value(&self.l1d));
-        put("l2", Serialize::to_value(&self.l2));
-        put(
-            "l1d_main_misses",
-            Serialize::to_value(&self.l1d_main_misses),
-        );
-        put(
-            "l1d_pthread_misses",
-            Serialize::to_value(&self.l1d_pthread_misses),
-        );
-        put(
-            "useful_prefetches",
-            Serialize::to_value(&self.useful_prefetches),
-        );
-        put(
-            "late_prefetches",
-            Serialize::to_value(&self.late_prefetches),
-        );
-        put("episode_cycles", Serialize::to_value(&self.episode_cycles));
-        put(
-            "episode_extractions",
-            Serialize::to_value(&self.episode_extractions),
-        );
-        put("cycle_account", Serialize::to_value(&self.cycle_account));
-        put("dload_profiles", Serialize::to_value(&self.dload_profiles));
-        if !self.windows.is_empty() {
-            put("windows", Serialize::to_value(&self.windows));
-        }
-        if let Some(d) = &self.bpred_detail {
-            put("bpred_detail", Serialize::to_value(d));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for CoreStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(CoreStats {
-            cycles: Deserialize::from_value(v.field("cycles")?)?,
-            committed: Deserialize::from_value(v.field("committed")?)?,
-            committed_loads: Deserialize::from_value(v.field("committed_loads")?)?,
-            committed_stores: Deserialize::from_value(v.field("committed_stores")?)?,
-            committed_branches: Deserialize::from_value(v.field("committed_branches")?)?,
-            fetched: Deserialize::from_value(v.field("fetched")?)?,
-            squashed: Deserialize::from_value(v.field("squashed")?)?,
-            recoveries: Deserialize::from_value(v.field("recoveries")?)?,
-            triggers_accepted: Deserialize::from_value(v.field("triggers_accepted")?)?,
-            triggers_ignored_busy: Deserialize::from_value(v.field("triggers_ignored_busy")?)?,
-            triggers_rejected_occupancy: Deserialize::from_value(
-                v.field("triggers_rejected_occupancy")?,
-            )?,
-            preexec_aborted_flush: Deserialize::from_value(v.field("preexec_aborted_flush")?)?,
-            preexec_retargets: Deserialize::from_value(v.field("preexec_retargets")?)?,
-            preexec_aborted_missed: Deserialize::from_value(v.field("preexec_aborted_missed")?)?,
-            preexec_completed: Deserialize::from_value(v.field("preexec_completed")?)?,
-            pthread_insts: Deserialize::from_value(v.field("pthread_insts")?)?,
-            pthread_loads: Deserialize::from_value(v.field("pthread_loads")?)?,
-            missed_extractions: Deserialize::from_value(v.field("missed_extractions")?)?,
-            livein_copy_cycles: Deserialize::from_value(v.field("livein_copy_cycles")?)?,
-            pthread_faults: Deserialize::from_value(v.field("pthread_faults")?)?,
-            bpred: Deserialize::from_value(v.field("bpred")?)?,
-            l1d: Deserialize::from_value(v.field("l1d")?)?,
-            l2: Deserialize::from_value(v.field("l2")?)?,
-            l1d_main_misses: Deserialize::from_value(v.field("l1d_main_misses")?)?,
-            l1d_pthread_misses: Deserialize::from_value(v.field("l1d_pthread_misses")?)?,
-            useful_prefetches: Deserialize::from_value(v.field("useful_prefetches")?)?,
-            late_prefetches: Deserialize::from_value(v.field("late_prefetches")?)?,
-            episode_cycles: Deserialize::from_value(v.field("episode_cycles")?)?,
-            episode_extractions: Deserialize::from_value(v.field("episode_extractions")?)?,
-            cycle_account: Deserialize::from_value(v.field("cycle_account")?)?,
-            dload_profiles: Deserialize::from_value(v.field("dload_profiles")?)?,
-            // Absent in pre-obs envelopes and in any run without windowed
-            // telemetry: default to empty rather than erroring.
-            windows: match v.field("windows") {
-                Ok(w) => Deserialize::from_value(w)?,
-                Err(_) => Vec::new(),
-            },
-            // Absent for default-predictor runs and pre-trait envelopes.
-            bpred_detail: match v.field("bpred_detail") {
-                Ok(d) => Some(Deserialize::from_value(d)?),
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl CoreStats {

@@ -24,12 +24,11 @@
 //!               u64 profiled misses
 //! ```
 
-use crate::encode::{decode_text, encode_text, DecodeError};
+use crate::encode::{decode_text, encode_text, take, DecodeError};
 use crate::program::{DataImage, Program};
 use crate::pthread::{PThreadEntry, PThreadTable, RegionInfo};
 use crate::reg::{Reg, NUM_REGS};
 use crate::SpearBinary;
-use bytes::{Buf, BufMut};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -71,26 +70,43 @@ impl fmt::Display for BinError {
 
 impl std::error::Error for BinError {}
 
+/// Smallest encoding of one p-thread entry: dload pc, member count,
+/// live-in count, header count, d-cycle and miss count with empty lists.
+const MIN_ENTRY_BYTES: usize = 4 + 4 + 2 + 2 + 8 + 8;
+
+fn get_u16(buf: &mut &[u8]) -> u16 {
+    u16::from_le_bytes(take(buf))
+}
+
+fn get_u32(buf: &mut &[u8]) -> u32 {
+    u32::from_le_bytes(take(buf))
+}
+
+fn get_u64(buf: &mut &[u8]) -> u64 {
+    u64::from_le_bytes(take(buf))
+}
+
+/// Split `n` bytes off the front of `buf` (checked by [`need`] first).
+fn get_bytes<'a>(buf: &mut &'a [u8], n: usize) -> &'a [u8] {
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    head
+}
+
 fn put_name(out: &mut Vec<u8>, name: &str) {
-    out.put_u16_le(name.len() as u16);
-    out.put_slice(name.as_bytes());
+    out.extend((name.len() as u16).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
 }
 
 fn get_name(buf: &mut &[u8]) -> Result<String, BinError> {
-    if buf.remaining() < 2 {
-        return Err(BinError::Truncated("name length"));
-    }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(BinError::Truncated("name bytes"));
-    }
-    let s = String::from_utf8(buf[..len].to_vec()).map_err(|_| BinError::BadName)?;
-    buf.advance(len);
-    Ok(s)
+    need(buf, 2, "name length")?;
+    let len = get_u16(buf) as usize;
+    need(buf, len, "name bytes")?;
+    String::from_utf8(get_bytes(buf, len).to_vec()).map_err(|_| BinError::BadName)
 }
 
-fn need(buf: &&[u8], n: usize, what: &'static str) -> Result<(), BinError> {
-    if buf.remaining() < n {
+fn need(buf: &[u8], n: usize, what: &'static str) -> Result<(), BinError> {
+    if buf.len() < n {
         Err(BinError::Truncated(what))
     } else {
         Ok(())
@@ -101,115 +117,116 @@ fn need(buf: &&[u8], n: usize, what: &'static str) -> Result<(), BinError> {
 pub fn save(binary: &SpearBinary) -> Vec<u8> {
     let p = &binary.program;
     let mut out = Vec::with_capacity(64 + p.insts.len() * 16 + p.data.init.len());
-    out.put_slice(MAGIC);
-    out.put_u32_le(VERSION);
-    out.put_u32_le(p.entry);
-    out.put_u32_le(p.insts.len() as u32);
+    out.extend_from_slice(MAGIC);
+    out.extend(VERSION.to_le_bytes());
+    out.extend(p.entry.to_le_bytes());
+    out.extend((p.insts.len() as u32).to_le_bytes());
     out.extend_from_slice(&encode_text(&p.insts));
-    out.put_u64_le(p.data.init.len() as u64);
-    out.put_slice(&p.data.init);
-    out.put_u64_le(p.data.size as u64);
-    out.put_u32_le(p.labels.len() as u32);
+    out.extend((p.data.init.len() as u64).to_le_bytes());
+    out.extend_from_slice(&p.data.init);
+    out.extend((p.data.size as u64).to_le_bytes());
+    out.extend((p.labels.len() as u32).to_le_bytes());
     for (name, &pc) in &p.labels {
         put_name(&mut out, name);
-        out.put_u32_le(pc);
+        out.extend(pc.to_le_bytes());
     }
-    out.put_u32_le(p.data_symbols.len() as u32);
+    out.extend((p.data_symbols.len() as u32).to_le_bytes());
     for (name, &addr) in &p.data_symbols {
         put_name(&mut out, name);
-        out.put_u64_le(addr);
+        out.extend(addr.to_le_bytes());
     }
-    out.put_u32_le(binary.table.entries.len() as u32);
+    out.extend((binary.table.entries.len() as u32).to_le_bytes());
     for e in &binary.table.entries {
-        out.put_u32_le(e.dload_pc);
-        out.put_u32_le(e.members.len() as u32);
+        out.extend(e.dload_pc.to_le_bytes());
+        out.extend((e.members.len() as u32).to_le_bytes());
         for &m in &e.members {
-            out.put_u32_le(m);
+            out.extend(m.to_le_bytes());
         }
-        out.put_u16_le(e.live_ins.len() as u16);
-        for r in &e.live_ins {
-            out.put_u8(r.index() as u8);
-        }
-        out.put_u16_le(e.region.loop_headers.len() as u16);
+        out.extend((e.live_ins.len() as u16).to_le_bytes());
+        out.extend(e.live_ins.iter().map(|r| r.index() as u8));
+        out.extend((e.region.loop_headers.len() as u16).to_le_bytes());
         for &h in &e.region.loop_headers {
-            out.put_u32_le(h);
+            out.extend(h.to_le_bytes());
         }
-        out.put_f64_le(e.region.dcycle);
-        out.put_u64_le(e.profiled_misses);
+        out.extend(e.region.dcycle.to_le_bytes());
+        out.extend(e.profiled_misses.to_le_bytes());
     }
     out
 }
 
 /// Deserialize and validate a SPEAR binary.
 pub fn load(mut buf: &[u8]) -> Result<SpearBinary, BinError> {
-    need(&buf, 8, "magic")?;
-    if &buf[..8] != MAGIC {
+    let buf = &mut buf;
+    need(buf, 8, "magic")?;
+    if get_bytes(buf, 8) != MAGIC {
         return Err(BinError::BadMagic);
     }
-    buf.advance(8);
-    need(&buf, 4, "version")?;
-    let version = buf.get_u32_le();
+    need(buf, 4, "version")?;
+    let version = get_u32(buf);
     if version != VERSION {
         return Err(BinError::BadVersion(version));
     }
-    need(&buf, 8, "header")?;
-    let entry = buf.get_u32_le();
-    let n_insts = buf.get_u32_le() as usize;
-    need(&buf, n_insts * 16, "instruction text")?;
-    let insts = decode_text(&buf[..n_insts * 16]).map_err(BinError::BadText)?;
-    buf.advance(n_insts * 16);
+    need(buf, 8, "header")?;
+    let entry = get_u32(buf);
+    let n_insts = get_u32(buf) as usize;
+    need(buf, n_insts * 16, "instruction text")?;
+    let insts = decode_text(get_bytes(buf, n_insts * 16)).map_err(BinError::BadText)?;
 
-    need(&buf, 8, "data length")?;
-    let init_len = buf.get_u64_le() as usize;
-    need(&buf, init_len, "data image")?;
-    let init = buf[..init_len].to_vec();
-    buf.advance(init_len);
-    need(&buf, 8, "data size")?;
-    let size = buf.get_u64_le() as usize;
+    need(buf, 8, "data length")?;
+    let init_len = get_u64(buf) as usize;
+    need(buf, init_len, "data image")?;
+    let init = get_bytes(buf, init_len).to_vec();
+    need(buf, 8, "data size")?;
+    let size = get_u64(buf) as usize;
 
-    need(&buf, 4, "label count")?;
-    let n_labels = buf.get_u32_le();
+    need(buf, 4, "label count")?;
+    let n_labels = get_u32(buf);
     let mut labels = BTreeMap::new();
     for _ in 0..n_labels {
-        let name = get_name(&mut buf)?;
-        need(&buf, 4, "label pc")?;
-        labels.insert(name, buf.get_u32_le());
+        let name = get_name(buf)?;
+        need(buf, 4, "label pc")?;
+        labels.insert(name, get_u32(buf));
     }
-    need(&buf, 4, "symbol count")?;
-    let n_syms = buf.get_u32_le();
+    need(buf, 4, "symbol count")?;
+    let n_syms = get_u32(buf);
     let mut data_symbols = BTreeMap::new();
     for _ in 0..n_syms {
-        let name = get_name(&mut buf)?;
-        need(&buf, 8, "symbol address")?;
-        data_symbols.insert(name, buf.get_u64_le());
+        let name = get_name(buf)?;
+        need(buf, 8, "symbol address")?;
+        data_symbols.insert(name, get_u64(buf));
     }
 
-    need(&buf, 4, "p-thread count")?;
-    let n_entries = buf.get_u32_le();
-    let mut entries = Vec::with_capacity(n_entries as usize);
+    need(buf, 4, "p-thread count")?;
+    let n_entries = get_u32(buf) as usize;
+    // The count is untrusted: reserve no more entries than the remaining
+    // bytes could hold, so a hostile count fails as truncation below
+    // instead of aborting on a huge allocation.
+    let mut entries = Vec::with_capacity(n_entries.min(buf.len() / MIN_ENTRY_BYTES));
     for _ in 0..n_entries {
-        need(&buf, 8, "p-thread header")?;
-        let dload_pc = buf.get_u32_le();
-        let n_members = buf.get_u32_le() as usize;
-        need(&buf, n_members * 4, "p-thread members")?;
-        let members = (0..n_members).map(|_| buf.get_u32_le()).collect();
-        need(&buf, 2, "live-in count")?;
-        let n_live = buf.get_u16_le() as usize;
-        need(&buf, n_live, "live-ins")?;
-        let mut live_ins = Vec::with_capacity(n_live);
-        for _ in 0..n_live {
-            let idx = buf.get_u8();
-            if (idx as usize) >= NUM_REGS {
-                return Err(BinError::BadReg(idx));
-            }
-            live_ins.push(Reg::from_index(idx));
-        }
-        need(&buf, 2, "region header count")?;
-        let n_headers = buf.get_u16_le() as usize;
-        need(&buf, n_headers * 4 + 16, "region")?;
-        let loop_headers = (0..n_headers).map(|_| buf.get_u32_le()).collect();
-        let dcycle = buf.get_f64_le();
-        let profiled_misses = buf.get_u64_le();
+        need(buf, 8, "p-thread header")?;
+        let dload_pc = get_u32(buf);
+        let n_members = get_u32(buf) as usize;
+        need(buf, n_members * 4, "p-thread members")?;
+        let members = (0..n_members).map(|_| get_u32(buf)).collect();
+        need(buf, 2, "live-in count")?;
+        let n_live = get_u16(buf) as usize;
+        need(buf, n_live, "live-ins")?;
+        let live_ins = get_bytes(buf, n_live)
+            .iter()
+            .map(|&idx| {
+                if (idx as usize) < NUM_REGS {
+                    Ok(Reg::from_index(idx))
+                } else {
+                    Err(BinError::BadReg(idx))
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        need(buf, 2, "region header count")?;
+        let n_headers = get_u16(buf) as usize;
+        need(buf, n_headers * 4 + 16, "region")?;
+        let loop_headers = (0..n_headers).map(|_| get_u32(buf)).collect();
+        let dcycle = f64::from_le_bytes(take(buf));
+        let profiled_misses = get_u64(buf);
         entries.push(PThreadEntry {
             dload_pc,
             members,
@@ -314,6 +331,19 @@ mod tests {
         let pos = bytes.len() - (8 + 8 + 4 + 2 + 1 + 2 + 8 + 4 + 4);
         bytes[pos..pos + 4].copy_from_slice(&999u32.to_le_bytes());
         assert!(matches!(load(&bytes), Err(BinError::Invalid(_))));
+    }
+
+    #[test]
+    fn hostile_entry_count_is_truncation_not_an_abort() {
+        // An empty program whose p-thread count claims 2^32 - 1 entries:
+        // reserving them up front would ask for hundreds of gigabytes.
+        let mut bytes = save(&SpearBinary::plain(Program::default()));
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            load(&bytes).err(),
+            Some(BinError::Truncated("p-thread header"))
+        );
     }
 
     #[test]

@@ -17,7 +17,6 @@
 use crate::inst::Inst;
 use crate::op::Opcode;
 use crate::reg::{Reg, NUM_REGS};
-use bytes::{Buf, BufMut};
 
 /// Bytes per encoded instruction.
 pub const INST_BYTES: usize = 16;
@@ -48,14 +47,26 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Split `N` bytes off the front of `buf`. Callers check the length
+/// first, so a short buffer is a bug, not bad input.
+pub(crate) fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_at(N);
+    *buf = rest;
+    head.try_into().expect("split_at returned N bytes")
+}
+
 /// Append the encoding of `inst` to `out`.
-pub fn encode_into(inst: &Inst, out: &mut impl BufMut) {
-    out.put_u16_le(inst.op.code());
-    out.put_u8(inst.rd.index() as u8);
-    out.put_u8(inst.rs1.index() as u8);
-    out.put_u8(inst.rs2.index() as u8);
-    out.put_bytes(0, 3);
-    out.put_i64_le(inst.imm);
+pub fn encode_into(inst: &Inst, out: &mut Vec<u8>) {
+    out.extend_from_slice(&inst.op.code().to_le_bytes());
+    out.extend_from_slice(&[
+        inst.rd.index() as u8,
+        inst.rs1.index() as u8,
+        inst.rs2.index() as u8,
+        0,
+        0,
+        0,
+    ]);
+    out.extend_from_slice(&inst.imm.to_le_bytes());
 }
 
 /// Encode one instruction to its 16-byte word.
@@ -65,12 +76,13 @@ pub fn encode(inst: &Inst) -> [u8; INST_BYTES] {
     buf.try_into().expect("encoding is exactly INST_BYTES")
 }
 
-/// Decode one instruction from the front of `buf`.
-pub fn decode(buf: &mut impl Buf) -> Result<Inst, DecodeError> {
-    if buf.remaining() < INST_BYTES {
+/// Decode one instruction from the front of `buf`, advancing it.
+pub fn decode(buf: &mut &[u8]) -> Result<Inst, DecodeError> {
+    if buf.len() < INST_BYTES {
         return Err(DecodeError::Truncated);
     }
-    let code = buf.get_u16_le();
+    let [c0, c1, rd, rs1, rs2, p0, p1, p2] = take(buf);
+    let code = u16::from_le_bytes([c0, c1]);
     let op = Opcode::from_code(code).ok_or(DecodeError::BadOpcode(code))?;
     let reg = |b: u8| -> Result<Reg, DecodeError> {
         if (b as usize) < NUM_REGS {
@@ -79,15 +91,11 @@ pub fn decode(buf: &mut impl Buf) -> Result<Inst, DecodeError> {
             Err(DecodeError::BadReg(b))
         }
     };
-    let rd = reg(buf.get_u8())?;
-    let rs1 = reg(buf.get_u8())?;
-    let rs2 = reg(buf.get_u8())?;
-    for _ in 0..3 {
-        if buf.get_u8() != 0 {
-            return Err(DecodeError::BadPadding);
-        }
+    let (rd, rs1, rs2) = (reg(rd)?, reg(rs1)?, reg(rs2)?);
+    if [p0, p1, p2] != [0; 3] {
+        return Err(DecodeError::BadPadding);
     }
-    let imm = buf.get_i64_le();
+    let imm = i64::from_le_bytes(take(buf));
     Ok(Inst {
         op,
         rd,

@@ -19,235 +19,10 @@
 //! and the campaign engine's own cells.jsonl resume logic guarantees a
 //! `kill -9` costs at most the cells that were in flight.
 
-use serde::{Deserialize, Serialize};
-use spear_campaign::{CampaignSpec, MachinePoint, SampleSpec};
-use spear_cpu::machine::Machine;
-use spear_mem::LatencyConfig;
+use spear_campaign::{JobSpec, ProgressSnapshot};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-
-/// A sweep request, as submitted to `POST /jobs`. Mirrors the
-/// `spear-sim campaign` flags one-to-one so a spec and a CLI invocation
-/// describe the same grid.
-#[derive(Clone, Debug, PartialEq)]
-pub struct JobSpec {
-    /// Workload names (`"all"` expands to the full benchmark set).
-    pub workloads: Vec<String>,
-    /// Machine model names (CLI spellings, e.g. `spear-128`).
-    pub machines: Vec<String>,
-    /// Branch-predictor specs (`--bpreds`), each a `--bpred` spelling
-    /// like `bimodal`, `gshare` or `tage:tables=6,...`. Empty means the
-    /// paper default (`bimodal`). The grid is machines × bpreds.
-    pub bpreds: Vec<String>,
-    /// Instruction-supply front ends (`--frontends`): `program` and/or
-    /// `trace`. Empty means the historical program-driven grid. `trace`
-    /// cells replay a committed path recorded once per workload and
-    /// shared through the server's trace cache.
-    pub frontends: Vec<String>,
-    /// Main-memory latency override in cycles (`--mem-latency`).
-    pub mem_latency: Option<u32>,
-    /// Interval length in instructions (`--interval`).
-    pub interval: u64,
-    /// Simulate every `stride`-th interval (`--stride`).
-    pub stride: u64,
-    /// Windowed-telemetry length in cycles; `0` means the default
-    /// window (`--window`).
-    pub window: Option<u64>,
-    /// Stop after this many cells per server run (`--max-cells`; the
-    /// job resumes on the next server start).
-    pub max_cells: Option<u64>,
-    /// Run each workload as a SimPoint phase-clustered campaign
-    /// (`--simpoint`): simulate one weighted representative interval
-    /// per phase instead of every interval.
-    pub simpoint: bool,
-    /// Fixed phase count (`--simpoint-k`); providing it implies
-    /// `simpoint`, and `0`/absent means BIC auto-selection.
-    pub simpoint_k: Option<u64>,
-    /// Clustering seed (`--simpoint-seed`); providing it implies
-    /// `simpoint`. Absent means the default seed.
-    pub simpoint_seed: Option<u64>,
-}
-
-impl Default for JobSpec {
-    fn default() -> JobSpec {
-        JobSpec {
-            workloads: Vec::new(),
-            machines: Vec::new(),
-            bpreds: Vec::new(),
-            frontends: Vec::new(),
-            mem_latency: None,
-            interval: 100_000,
-            stride: 1,
-            window: None,
-            max_cells: None,
-            simpoint: false,
-            simpoint_k: None,
-            simpoint_seed: None,
-        }
-    }
-}
-
-// Hand-written (de)serialization so optional fields may simply be
-// omitted from the submitted JSON — the derive requires every key.
-impl Serialize for JobSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("workloads".into(), self.workloads.to_value()),
-            ("machines".into(), self.machines.to_value()),
-            ("bpreds".into(), self.bpreds.to_value()),
-            ("frontends".into(), self.frontends.to_value()),
-            ("mem_latency".into(), self.mem_latency.to_value()),
-            ("interval".into(), self.interval.to_value()),
-            ("stride".into(), self.stride.to_value()),
-            ("window".into(), self.window.to_value()),
-            ("max_cells".into(), self.max_cells.to_value()),
-            ("simpoint".into(), self.simpoint.to_value()),
-            ("simpoint_k".into(), self.simpoint_k.to_value()),
-            ("simpoint_seed".into(), self.simpoint_seed.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for JobSpec {
-    fn from_value(v: &serde::Value) -> Result<JobSpec, serde::Error> {
-        let d = JobSpec::default();
-        fn opt<T: Deserialize>(
-            v: &serde::Value,
-            name: &str,
-            default: T,
-        ) -> Result<T, serde::Error> {
-            match v.field(name) {
-                Ok(field) => T::from_value(field),
-                Err(_) => Ok(default),
-            }
-        }
-        Ok(JobSpec {
-            workloads: Vec::<String>::from_value(v.field("workloads")?)?,
-            machines: Vec::<String>::from_value(v.field("machines")?)?,
-            bpreds: opt(v, "bpreds", d.bpreds)?,
-            frontends: opt(v, "frontends", d.frontends)?,
-            mem_latency: opt(v, "mem_latency", d.mem_latency)?,
-            interval: opt(v, "interval", d.interval)?,
-            stride: opt(v, "stride", d.stride)?,
-            window: opt(v, "window", d.window)?,
-            max_cells: opt(v, "max_cells", d.max_cells)?,
-            simpoint: opt(v, "simpoint", d.simpoint)?,
-            simpoint_k: opt(v, "simpoint_k", d.simpoint_k)?,
-            simpoint_seed: opt(v, "simpoint_seed", d.simpoint_seed)?,
-        })
-    }
-}
-
-impl JobSpec {
-    /// Resolve the wire spec into a runnable [`CampaignSpec`], mirroring
-    /// `spear-sim campaign`'s validation exactly: `all` expansion,
-    /// workload and machine name checks, nonzero interval/stride, the
-    /// paper's default latency, and `--window 0` → default window.
-    pub fn resolve(&self, workers: usize) -> Result<CampaignSpec, String> {
-        let mut workloads = self.workloads.clone();
-        if workloads.iter().any(|w| w == "all") {
-            workloads = spear_workloads::all()
-                .iter()
-                .map(|w| w.name.to_string())
-                .collect();
-        }
-        if workloads.is_empty() {
-            return Err("spec needs at least one workload".into());
-        }
-        for name in &workloads {
-            if spear_workloads::by_spec(name).is_none() {
-                return Err(format!("unknown workload `{name}`"));
-            }
-        }
-        if self.machines.is_empty() {
-            return Err("spec needs at least one machine".into());
-        }
-        let mut machines = Vec::with_capacity(self.machines.len());
-        for name in &self.machines {
-            machines.push(
-                Machine::from_cli_name(name).ok_or_else(|| format!("unknown machine `{name}`"))?,
-            );
-        }
-        if self.interval == 0 || self.stride == 0 {
-            return Err("interval and stride must be nonzero".into());
-        }
-        // `simpoint_k` / `simpoint_seed` imply simpoint, exactly like the
-        // CLI's `--simpoint-k` / `--simpoint-seed` flags.
-        let simpoint = (self.simpoint || self.simpoint_k.is_some() || self.simpoint_seed.is_some())
-            .then(|| spear_campaign::SimpointSpec {
-                k: self.simpoint_k.unwrap_or(0),
-                seed: self
-                    .simpoint_seed
-                    .unwrap_or(spear_campaign::SimpointSpec::default().seed),
-            });
-        if simpoint.is_some() {
-            if self.window.is_some() {
-                return Err(
-                    "simpoint is incompatible with window: windowed telemetry cannot be \
-                     weight-blended"
-                        .into(),
-                );
-            }
-            if self.stride != 1 {
-                return Err("simpoint requires stride 1 (phases replace systematic skip)".into());
-            }
-        }
-        let mut bpreds = Vec::new();
-        let default_bpreds = ["bimodal".to_string()];
-        for spec in if self.bpreds.is_empty() {
-            &default_bpreds[..]
-        } else {
-            &self.bpreds[..]
-        } {
-            bpreds.push(
-                spear_bpred::PredictorConfig::paper()
-                    .with_spec(spec)
-                    .map_err(|e| format!("bad predictor spec `{spec}`: {e}"))?,
-            );
-        }
-        for f in &self.frontends {
-            if f != "program" && f != "trace" {
-                return Err(format!(
-                    "unknown front end `{f}` (expected `program` or `trace`)"
-                ));
-            }
-        }
-        let latency = self.mem_latency.map(LatencyConfig::sweep_point);
-        let mem_latency = latency.unwrap_or_else(LatencyConfig::paper).memory;
-        let mut points = Vec::with_capacity(machines.len() * bpreds.len());
-        for &m in &machines {
-            for &bp in &bpreds {
-                let mut config = m.config(latency);
-                config.bpred = bp;
-                points.push(MachinePoint {
-                    machine: m.name().to_string(),
-                    mem_latency,
-                    config,
-                });
-            }
-        }
-        Ok(CampaignSpec {
-            workloads,
-            points,
-            frontends: self.frontends.clone(),
-            sample: SampleSpec {
-                interval_len: self.interval,
-                stride: self.stride,
-            },
-            threads: workers,
-            max_cells: self.max_cells,
-            window: self.window.map(|n| {
-                if n == 0 {
-                    spear_cpu::DEFAULT_WINDOW_CYCLES
-                } else {
-                    n
-                }
-            }),
-            simpoint,
-        })
-    }
-}
 
 /// Where a job is in its life.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -285,21 +60,6 @@ impl JobState {
     }
 }
 
-/// The last progress callback of a running job, kept for `GET /jobs/<id>`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProgressLite {
-    /// Cells finished (including previously completed ones).
-    pub done: u64,
-    /// Total cells in the campaign.
-    pub total: u64,
-    /// Cells executed by the current invocation.
-    pub executed: u64,
-    /// Wall-clock ms since the current invocation started.
-    pub elapsed_ms: u64,
-    /// Estimated remaining ms (None until the first cell finishes).
-    pub eta_ms: Option<u64>,
-}
-
 /// A registry entry: everything the control plane knows about one job.
 pub struct Job {
     /// Job id (`job-NNNN`).
@@ -316,8 +76,8 @@ pub struct Job {
     /// user cancel from a shutdown drain, which also sets `cancel` but
     /// must leave the job resumable.
     pub cancel_requested: bool,
-    /// Latest progress snapshot while running.
-    pub progress: Option<ProgressLite>,
+    /// Latest progress snapshot while running, kept for `GET /jobs/<id>`.
+    pub progress: Option<ProgressSnapshot>,
 }
 
 impl Job {
@@ -435,176 +195,6 @@ pub fn next_id(existing: &[Job]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_roundtrips_through_json() {
-        let spec = JobSpec {
-            workloads: vec!["pointer".into()],
-            machines: vec!["baseline".into(), "spear-128".into()],
-            bpreds: vec!["bimodal".into(), "tage".into()],
-            frontends: vec!["program".into(), "trace".into()],
-            mem_latency: Some(200),
-            interval: 50_000,
-            stride: 2,
-            window: Some(0),
-            max_cells: None,
-            simpoint: true,
-            simpoint_k: Some(4),
-            simpoint_seed: Some(7),
-        };
-        let text = serde::json::to_string(&spec);
-        let back: JobSpec = serde::json::from_str(&text).unwrap();
-        assert_eq!(spec, back);
-    }
-
-    #[test]
-    fn optional_fields_may_be_omitted() {
-        let spec: JobSpec =
-            serde::json::from_str("{\"workloads\":[\"pointer\"],\"machines\":[\"baseline\"]}")
-                .unwrap();
-        assert_eq!(spec.interval, 100_000);
-        assert_eq!(spec.stride, 1);
-        assert_eq!(spec.mem_latency, None);
-        assert_eq!(spec.max_cells, None);
-        assert!(
-            spec.bpreds.is_empty(),
-            "bpreds defaults to the paper's bimodal"
-        );
-        assert!(
-            spec.frontends.is_empty(),
-            "frontends defaults to the historical program grid"
-        );
-        assert!(!spec.simpoint, "simpoint defaults off");
-        assert_eq!(spec.simpoint_k, None);
-        assert_eq!(spec.simpoint_seed, None);
-    }
-
-    #[test]
-    fn resolve_maps_simpoint_and_rejects_bad_combinations() {
-        let mut spec = JobSpec {
-            workloads: vec!["pointer".into(), "pointer@x100".into()],
-            machines: vec!["baseline".into()],
-            simpoint: true,
-            ..JobSpec::default()
-        };
-        let resolved = spec.resolve(2).unwrap();
-        assert_eq!(
-            resolved.simpoint,
-            Some(spear_campaign::SimpointSpec { k: 0, seed: 42 }),
-            "bare simpoint means auto-k with the default seed"
-        );
-        assert_eq!(
-            resolved.workloads,
-            vec!["pointer".to_string(), "pointer@x100".to_string()],
-            "scaled workload specs survive resolution verbatim"
-        );
-
-        // k/seed imply simpoint even when the flag itself is omitted.
-        spec.simpoint = false;
-        spec.simpoint_k = Some(4);
-        spec.simpoint_seed = Some(7);
-        assert_eq!(
-            spec.resolve(2).unwrap().simpoint,
-            Some(spear_campaign::SimpointSpec { k: 4, seed: 7 })
-        );
-
-        spec.window = Some(0);
-        assert!(spec
-            .resolve(2)
-            .unwrap_err()
-            .contains("incompatible with window"));
-        spec.window = None;
-        spec.stride = 2;
-        assert!(spec.resolve(2).unwrap_err().contains("requires stride 1"));
-        spec.stride = 1;
-        spec.workloads = vec!["pointer@x0".into()];
-        assert!(
-            spec.resolve(2).unwrap_err().contains("unknown workload"),
-            "a zero scale multiplier is rejected"
-        );
-    }
-
-    #[test]
-    fn resolve_validates_names_and_numbers() {
-        let mut spec = JobSpec {
-            workloads: vec!["pointer".into()],
-            machines: vec!["baseline".into()],
-            ..JobSpec::default()
-        };
-        assert!(spec.resolve(2).is_ok());
-        spec.workloads = vec!["no-such-workload".into()];
-        assert!(spec.resolve(2).unwrap_err().contains("unknown workload"));
-        spec.workloads = vec!["pointer".into()];
-        spec.machines = vec!["cray-1".into()];
-        assert!(spec.resolve(2).unwrap_err().contains("unknown machine"));
-        spec.machines = vec!["baseline".into()];
-        spec.stride = 0;
-        assert!(spec.resolve(2).unwrap_err().contains("nonzero"));
-        spec.stride = 1;
-        spec.bpreds = vec!["tage:tables=zero".into()];
-        assert!(spec
-            .resolve(2)
-            .unwrap_err()
-            .contains("bad predictor spec `tage:tables=zero`"));
-        spec.bpreds = Vec::new();
-        spec.frontends = vec!["oracle".into()];
-        assert!(spec
-            .resolve(2)
-            .unwrap_err()
-            .contains("unknown front end `oracle`"));
-        spec.frontends = vec!["program".into(), "trace".into()];
-        let resolved = spec.resolve(2).unwrap();
-        assert_eq!(resolved.frontends, vec!["program", "trace"]);
-    }
-
-    #[test]
-    fn resolve_expands_the_machine_by_predictor_grid() {
-        let spec = JobSpec {
-            workloads: vec!["pointer".into()],
-            machines: vec!["baseline".into(), "spear-128".into()],
-            bpreds: vec!["bimodal".into(), "tage".into()],
-            ..JobSpec::default()
-        };
-        let resolved = spec.resolve(2).unwrap();
-        assert_eq!(resolved.points.len(), 4, "machines x bpreds");
-        let labels: Vec<(String, String)> = resolved
-            .points
-            .iter()
-            .map(|p| (p.machine.clone(), p.config.bpred.spec_label()))
-            .collect();
-        assert_eq!(
-            labels[0],
-            ("superscalar".to_string(), "bimodal".to_string())
-        );
-        assert_eq!(labels[1], ("superscalar".to_string(), "tage".to_string()));
-        assert_eq!(labels[3], ("SPEAR-128".to_string(), "tage".to_string()));
-        // Omitted bpreds resolves to a pure-bimodal grid.
-        let plain = JobSpec {
-            workloads: vec!["pointer".into()],
-            machines: vec!["baseline".into()],
-            ..JobSpec::default()
-        }
-        .resolve(2)
-        .unwrap();
-        assert_eq!(plain.points.len(), 1);
-        assert_eq!(plain.points[0].config.bpred.spec_label(), "bimodal");
-    }
-
-    #[test]
-    fn resolve_expands_all_and_applies_latency() {
-        let spec = JobSpec {
-            workloads: vec!["all".into()],
-            machines: vec!["spear-256".into()],
-            mem_latency: Some(300),
-            ..JobSpec::default()
-        };
-        let resolved = spec.resolve(4).unwrap();
-        assert_eq!(resolved.workloads.len(), spear_workloads::all().len());
-        assert_eq!(resolved.points.len(), 1);
-        assert_eq!(resolved.points[0].machine, "SPEAR-256");
-        assert_eq!(resolved.points[0].mem_latency, 300);
-        assert_eq!(resolved.threads, 4);
-    }
 
     #[test]
     fn ids_increase_and_scan_orders_by_id() {

@@ -36,5 +36,6 @@ pub mod http;
 pub mod jobs;
 pub mod server;
 
-pub use jobs::{Job, JobSpec, JobState, ProgressLite};
+pub use jobs::{Job, JobState};
 pub use server::{install_signal_handlers, ServeConfig, Server};
+pub use spear_campaign::JobSpec;

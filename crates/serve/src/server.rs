@@ -25,17 +25,17 @@
 //!   them.
 
 use crate::http::{self, Request, Response};
-use crate::jobs::{self, Job, JobSpec, JobState, ProgressLite};
-use parking_lot::Mutex;
-use serde::Value;
+use crate::jobs::{self, Job, JobState};
+use serde::{Serialize, Value};
 use spear_campaign::{
-    Campaign, HeartbeatDoc, ProgressSnapshot, RunOptions, ShardCache, TraceCache,
+    Campaign, HeartbeatDoc, JobSpec, ProgressSnapshot, RunOptions, ShardCache, TraceCache,
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the accept loop polls for shutdown while the listener is
@@ -102,7 +102,9 @@ struct State {
     queue_cap: usize,
     shutdown: AtomicBool,
     registry: Mutex<Vec<Job>>,
-    tx: crossbeam::channel::Sender<String>,
+    tx: SyncSender<String>,
+    /// Jobs offered to the queue and not yet taken by the runner.
+    queued: AtomicUsize,
     cache: ShardCache,
     traces: TraceCache,
     started: Instant,
@@ -116,11 +118,25 @@ impl State {
         reg.iter_mut().find(|j| j.id == id)
     }
 
+    /// The job registry. A panic elsewhere while holding the lock leaves
+    /// the registry usable: job state is re-derived from disk anyway.
+    fn registry(&self) -> MutexGuard<'_, Vec<Job>> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Offer a job to the bounded queue without blocking.
+    fn try_enqueue(&self, id: String) -> Result<(), TrySendError<String>> {
+        self.queued.fetch_add(1, Ordering::SeqCst);
+        self.tx.try_send(id).inspect_err(|_| {
+            self.queued.fetch_sub(1, Ordering::SeqCst);
+        })
+    }
+
     /// Request a graceful drain: stop accepting, cancel the running
     /// campaign (queued jobs simply stay queued on disk).
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for job in self.registry.lock().iter() {
+        for job in self.registry().iter() {
             job.cancel.store(true, Ordering::SeqCst);
         }
     }
@@ -131,7 +147,7 @@ pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
     state: Arc<State>,
-    rx: crossbeam::channel::Receiver<String>,
+    rx: Receiver<String>,
 }
 
 impl Server {
@@ -153,7 +169,7 @@ impl Server {
             .map_err(|e| format!("cannot write {}: {e}", addr_file.display()))?;
 
         let registry = jobs::scan_jobs(&cfg.root)?;
-        let (tx, rx) = crossbeam::channel::bounded(cfg.queue_cap.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel(cfg.queue_cap.max(1));
         Ok(Server {
             listener,
             local_addr,
@@ -164,6 +180,7 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 registry: Mutex::new(registry),
                 tx,
+                queued: AtomicUsize::new(0),
                 cache: ShardCache::new(cfg.cache_bytes),
                 traces: TraceCache::new(cfg.cache_bytes),
                 started: Instant::now(),
@@ -196,17 +213,18 @@ impl Server {
         // responsive even when there are more unfinished jobs than
         // queue slots — the runner drains as we feed.
         let backlog: Vec<String> = state
-            .registry
-            .lock()
+            .registry()
             .iter()
             .filter(|j| j.state == JobState::Queued)
             .map(|j| j.id.clone())
             .collect();
         let refeed = {
-            let tx = state.tx.clone();
+            let state = state.clone();
             std::thread::spawn(move || {
                 for id in backlog {
-                    if tx.send(id).is_err() {
+                    state.queued.fetch_add(1, Ordering::SeqCst);
+                    if state.tx.send(id).is_err() {
+                        state.queued.fetch_sub(1, Ordering::SeqCst);
                         break;
                     }
                 }
@@ -237,14 +255,16 @@ impl Server {
 
 /// The single job runner: FIFO over the bounded queue, one campaign at
 /// a time, each campaign using the server's full worker count.
-fn runner_loop(state: &State, rx: &crossbeam::channel::Receiver<String>) {
-    use crossbeam::channel::RecvTimeoutError;
+fn runner_loop(state: &State, rx: &Receiver<String>) {
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
         match rx.recv_timeout(RUNNER_POLL) {
-            Ok(id) => run_one(state, &id),
+            Ok(id) => {
+                state.queued.fetch_sub(1, Ordering::SeqCst);
+                run_one(state, &id)
+            }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
         }
@@ -255,7 +275,7 @@ fn runner_loop(state: &State, rx: &crossbeam::channel::Receiver<String>) {
 /// of one, which is what makes an interrupted job resumable).
 fn run_one(state: &State, id: &str) {
     let (spec, cancel) = {
-        let mut reg = state.registry.lock();
+        let mut reg = state.registry();
         let Some(job) = State::find(&mut reg, id) else {
             return;
         };
@@ -268,25 +288,26 @@ fn run_one(state: &State, id: &str) {
     };
 
     let finish = |st: JobState, error: Option<String>| {
-        let mut reg = state.registry.lock();
+        let mut reg = state.registry();
         if let Some(job) = State::find(&mut reg, id) {
             job.state = st;
             job.error = error;
         }
     };
 
+    let fail = |e: String| {
+        let _ = jobs::write_marker(
+            &state.root,
+            id,
+            "error.json",
+            &serde::json::to_string(&ErrorDoc { error: e.clone() }),
+        );
+        finish(JobState::Failed, Some(e));
+    };
+
     let resolved = match spec.resolve(state.workers) {
         Ok(r) => r,
-        Err(e) => {
-            let _ = jobs::write_marker(
-                &state.root,
-                id,
-                "error.json",
-                &serde::json::to_string(&ErrorDoc { error: e.clone() }),
-            );
-            finish(JobState::Failed, Some(e));
-            return;
-        }
+        Err(e) => return fail(e),
     };
     let cdir = jobs::campaign_dir(&state.root, id);
     // Captured now because the spec moves into the campaign: simpoint
@@ -296,86 +317,60 @@ fn run_one(state: &State, id: &str) {
         .map(|sp| (sp, resolved.sample.interval_len));
     let campaign = Campaign::new(&cdir, resolved);
     let on_progress = |p: &ProgressSnapshot| {
-        let mut reg = state.registry.lock();
+        let mut reg = state.registry();
         if let Some(job) = State::find(&mut reg, id) {
-            job.progress = Some(ProgressLite {
-                done: p.done,
-                total: p.total,
-                executed: p.executed,
-                elapsed_ms: p.elapsed_ms,
-                eta_ms: p.eta_ms,
-            });
+            job.progress = Some(*p);
         }
     };
-    let summary = campaign.run_with(&RunOptions {
+    let summary = match campaign.run_with(&RunOptions {
         on_progress: Some(&on_progress),
         cancel: Some(&cancel),
         cache: Some(&state.cache),
         traces: Some(&state.traces),
-    });
+    }) {
+        Ok(summary) => summary,
+        Err(e) => return fail(e),
+    };
 
-    match summary {
-        Err(e) => {
-            let _ = jobs::write_marker(
-                &state.root,
-                id,
-                "error.json",
-                &serde::json::to_string(&ErrorDoc { error: e.clone() }),
-            );
-            finish(JobState::Failed, Some(e));
-        }
-        Ok(summary) if !summary.interrupted => {
-            match spear_campaign::write_aggregate_envelopes(
-                &cdir,
-                &summary.results,
-                envelope_simpoint,
-            ) {
-                Ok(files) => {
-                    let names: Vec<String> = files
-                        .iter()
-                        .filter_map(|p| p.file_name())
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .collect();
-                    let _ = jobs::write_marker(
-                        &state.root,
-                        id,
-                        "done.json",
-                        &serde::json::to_string(&DoneDoc {
-                            total_cells: summary.total_cells,
-                            aggregates: names,
-                        }),
-                    );
-                    finish(JobState::Done, None);
-                }
-                Err(e) => {
-                    let _ = jobs::write_marker(
-                        &state.root,
-                        id,
-                        "error.json",
-                        &serde::json::to_string(&ErrorDoc { error: e.clone() }),
-                    );
-                    finish(JobState::Failed, Some(e));
-                }
+    if !summary.interrupted {
+        match spear_campaign::write_aggregate_envelopes(&cdir, &summary.results, envelope_simpoint)
+        {
+            Ok(files) => {
+                let names: Vec<String> = files
+                    .iter()
+                    .filter_map(|p| p.file_name())
+                    .map(|n| n.to_string_lossy().into_owned())
+                    .collect();
+                let _ = jobs::write_marker(
+                    &state.root,
+                    id,
+                    "done.json",
+                    &serde::json::to_string(&DoneDoc {
+                        total_cells: summary.total_cells,
+                        aggregates: names,
+                    }),
+                );
+                finish(JobState::Done, None);
             }
+            Err(e) => fail(e),
         }
-        Ok(_) => {
-            let user_cancelled = {
-                let mut reg = state.registry.lock();
-                State::find(&mut reg, id).is_some_and(|j| j.cancel_requested)
-            };
-            if user_cancelled {
-                let _ = jobs::write_marker(&state.root, id, "cancelled.json", "{}\n");
-                finish(JobState::Cancelled, None);
-            } else {
-                // Interrupted by shutdown or a max_cells budget: no
-                // marker, so the job resumes on the next server start.
-                finish(JobState::Queued, None);
-                if !state.shutdown.load(Ordering::SeqCst) {
-                    // A max_cells pause mid-session: go around again so
-                    // the job keeps making progress in bounded bursts.
-                    let _ = state.tx.try_send(id.to_string());
-                }
-            }
+        return;
+    }
+    let user_cancelled = {
+        let mut reg = state.registry();
+        State::find(&mut reg, id).is_some_and(|j| j.cancel_requested)
+    };
+    if user_cancelled {
+        let _ = jobs::write_marker(&state.root, id, "cancelled.json", "{}\n");
+        finish(JobState::Cancelled, None);
+    } else {
+        // Interrupted by shutdown or a max_cells budget: no marker, so
+        // the job resumes on the next server start.
+        finish(JobState::Queued, None);
+        if !state.shutdown.load(Ordering::SeqCst) {
+            // A max_cells pause mid-session: go around again so the job
+            // keeps making progress in bounded bursts.
+            let _ = state.try_enqueue(id.to_string());
         }
     }
 }
@@ -390,8 +385,6 @@ struct DoneDoc {
     total_cells: u64,
     aggregates: Vec<String>,
 }
-
-use serde::Serialize;
 
 /// Serve one connection: keep-alive loop, pipelining via the shared
 /// `BufReader`, bounded parsing with HTTP error mapping.
@@ -484,7 +477,7 @@ fn submit(state: &Arc<State>, req: &Request) -> Response {
     }
 
     let id = {
-        let mut reg = state.registry.lock();
+        let mut reg = state.registry();
         let id = jobs::next_id(&reg);
         let cdir = jobs::campaign_dir(&state.root, &id);
         if let Err(e) = std::fs::create_dir_all(&cdir) {
@@ -498,27 +491,25 @@ fn submit(state: &Arc<State>, req: &Request) -> Response {
         id
     };
 
-    match state.tx.try_send(id.clone()) {
+    match state.try_enqueue(id.clone()) {
         Ok(()) => {
             state.jobs_submitted.fetch_add(1, Ordering::Relaxed);
             Response::json(201, format!("{{\"id\":\"{id}\",\"state\":\"queued\"}}"))
         }
-        Err(crossbeam::channel::TrySendError::Full(_)) => {
+        Err(TrySendError::Full(_)) => {
             state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            let mut reg = state.registry.lock();
+            let mut reg = state.registry();
             reg.retain(|j| j.id != id);
             let _ = std::fs::remove_dir_all(jobs::job_dir(&state.root, &id));
             Response::error(429, "job queue full; retry after a job finishes")
         }
-        Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-            Response::error(503, "server is shutting down")
-        }
+        Err(TrySendError::Disconnected(_)) => Response::error(503, "server is shutting down"),
     }
 }
 
 /// `GET /jobs`: id + state for every known job, submission order.
 fn list_jobs(state: &Arc<State>) -> Response {
-    let reg = state.registry.lock();
+    let reg = state.registry();
     let jobs: Vec<Value> = reg
         .iter()
         .map(|j| {
@@ -530,7 +521,10 @@ fn list_jobs(state: &Arc<State>) -> Response {
         .collect();
     let doc = Value::Object(vec![
         ("jobs".into(), Value::Array(jobs)),
-        ("queue_depth".into(), Value::U64(state.tx.len() as u64)),
+        (
+            "queue_depth".into(),
+            Value::U64(state.queued.load(Ordering::SeqCst) as u64),
+        ),
         ("queue_cap".into(), Value::U64(state.queue_cap as u64)),
     ]);
     Response::json(200, serde::json::to_string(&doc))
@@ -540,7 +534,7 @@ fn list_jobs(state: &Arc<State>) -> Response {
 /// campaign's persisted heartbeat for jobs not currently running).
 fn job_status(state: &Arc<State>, id: &str) -> Response {
     let (job_state, spec, error, live) = {
-        let reg = state.registry.lock();
+        let reg = state.registry();
         let Some(job) = reg.iter().find(|j| j.id == id) else {
             return Response::error(404, &format!("no such job `{id}`"));
         };
@@ -550,7 +544,7 @@ fn job_status(state: &Arc<State>, id: &str) -> Response {
         let hb_path = jobs::campaign_dir(&state.root, id).join("progress.json");
         let text = std::fs::read_to_string(hb_path).ok()?;
         let hb: HeartbeatDoc = serde::json::from_str(&text).ok()?;
-        Some(ProgressLite {
+        Some(ProgressSnapshot {
             done: hb.done,
             total: hb.total,
             executed: hb.executed,
@@ -558,27 +552,11 @@ fn job_status(state: &Arc<State>, id: &str) -> Response {
             eta_ms: hb.eta_ms,
         })
     });
-    let progress_value = match progress {
-        None => Value::Null,
-        Some(p) => Value::Object(vec![
-            ("done".into(), Value::U64(p.done)),
-            ("total".into(), Value::U64(p.total)),
-            ("executed".into(), Value::U64(p.executed)),
-            ("elapsed_ms".into(), Value::U64(p.elapsed_ms)),
-            (
-                "eta_ms".into(),
-                match p.eta_ms {
-                    Some(v) => Value::U64(v),
-                    None => Value::Null,
-                },
-            ),
-        ]),
-    };
     let doc = Value::Object(vec![
         ("id".into(), Value::Str(id.to_string())),
         ("state".into(), Value::Str(job_state.as_str().into())),
-        ("spec".into(), serde::Serialize::to_value(&spec)),
-        ("progress".into(), progress_value),
+        ("spec".into(), spec.to_value()),
+        ("progress".into(), progress.to_value()),
         (
             "error".into(),
             match error {
@@ -595,7 +573,7 @@ fn job_status(state: &Arc<State>, id: &str) -> Response {
 /// to what the CLI writes.
 fn aggregates(state: &Arc<State>, id: &str) -> Response {
     let job_state = {
-        let reg = state.registry.lock();
+        let reg = state.registry();
         let Some(job) = reg.iter().find(|j| j.id == id) else {
             return Response::error(404, &format!("no such job `{id}`"));
         };
@@ -637,7 +615,7 @@ fn aggregates(state: &Arc<State>, id: &str) -> Response {
 /// `POST /jobs/<id>/cancel`: cooperative — a queued job flips straight
 /// to cancelled; a running one drains its in-flight cells first.
 fn cancel(state: &Arc<State>, id: &str) -> Response {
-    let mut reg = state.registry.lock();
+    let mut reg = state.registry();
     let Some(job) = State::find(&mut reg, id) else {
         return Response::error(404, &format!("no such job `{id}`"));
     };
@@ -692,7 +670,7 @@ fn metrics(state: &Arc<State>) -> Response {
     gauge(
         "spear_serve_queue_depth",
         "Jobs waiting in the bounded queue.",
-        state.tx.len().to_string(),
+        state.queued.load(Ordering::SeqCst).to_string(),
     );
     gauge(
         "spear_serve_queue_cap",
@@ -701,9 +679,9 @@ fn metrics(state: &Arc<State>) -> Response {
     );
 
     let (counts, running, running_bpreds) = {
-        let reg = state.registry.lock();
+        let reg = state.registry();
         let mut counts = [0u64; 5];
-        let mut running: Option<ProgressLite> = None;
+        let mut running: Option<ProgressSnapshot> = None;
         let mut running_bpreds: Vec<String> = Vec::new();
         for j in reg.iter() {
             let i = match j.state {

@@ -124,6 +124,19 @@ fn corrupt_image_is_rejected() {
 }
 
 #[test]
+fn hostile_pthread_count_in_the_image_is_rejected_not_aborted() {
+    let mut bytes = sample_trace();
+    // The image length sits at 12..20 and the image at 20..; its last
+    // four bytes are the p-thread count (zero for a plain binary).
+    let image_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+    let count = 20 + image_len - 4;
+    bytes[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = TraceFile::decode(&bytes).expect_err("hostile count");
+    assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
+    assert!(err.to_string().contains("truncated"), "{err}");
+}
+
+#[test]
 fn empty_and_tiny_inputs_fail_cleanly() {
     assert_eq!(
         TraceFile::decode(&[]).expect_err("empty"),

@@ -93,9 +93,9 @@ fn campaign_stats_json_identical_across_thread_counts() {
             .iter()
             .map(|a| {
                 StatsExport::new(
-                    a.workload.clone(),
-                    &a.machine,
-                    a.mem_latency,
+                    a.key.workload.clone(),
+                    &a.key.machine,
+                    a.key.mem_latency,
                     RunExit::Halted,
                     a.stats.clone(),
                 )

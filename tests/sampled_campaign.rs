@@ -4,7 +4,8 @@
 //! simulation work (the timing of both paths is logged and compared).
 
 use spear_repro::campaign::SampleSpec;
-use spear_repro::spear::experiments::{compile_all, fig6, fig6_sampled};
+use spear_repro::spear::experiments::{compile_all, fig6, run_matrix_campaign};
+use spear_repro::spear::Machine;
 use spear_workloads::by_name;
 use std::time::Instant;
 
@@ -26,12 +27,16 @@ fn sampled_fig6_matches_full_run_and_is_faster() {
     let dir = std::env::temp_dir().join(format!("spear-accept-campaign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let t0 = Instant::now();
-    let sampled = fig6_sampled(
-        &ws,
+    let names: Vec<String> = ws.iter().map(|w| w.name.to_string()).collect();
+    let sampled = run_matrix_campaign(
+        &names,
+        &Machine::FIG6,
+        None,
         SampleSpec {
             interval_len: 25_000,
             stride: 3,
         },
+        None,
         &dir,
     )
     .expect("sampled campaign");

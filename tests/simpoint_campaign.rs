@@ -10,7 +10,8 @@ use spear_repro::campaign::{
     write_aggregate_envelopes, Campaign, CampaignSpec, MachinePoint, SampleSpec, SimpointSpec,
 };
 use spear_repro::cpu::CoreConfig;
-use spear_repro::spear::experiments::{compile_all, fig6, fig6_simpoint};
+use spear_repro::spear::experiments::{compile_all, fig6, run_matrix_campaign};
+use spear_repro::spear::Machine;
 use spear_workloads::by_name;
 use std::time::Instant;
 
@@ -43,14 +44,13 @@ fn simpoint_fig6_matches_full_run_and_is_faster() {
     let dir = std::env::temp_dir().join(format!("spear-accept-simpoint-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let t0 = Instant::now();
-    let simpoint = fig6_simpoint(
-        &ws,
-        SampleSpec {
-            interval_len: 25_000,
-            stride: 1,
-        },
-        SimpointSpec { k: 3, seed: 42 },
-        1,
+    let names: Vec<String> = ws.iter().map(|w| w.name.to_string()).collect();
+    let simpoint = run_matrix_campaign(
+        &names,
+        &Machine::FIG6,
+        None,
+        SampleSpec::full(25_000),
+        Some(SimpointSpec { k: 3, seed: 42 }),
         &dir,
     )
     .expect("simpoint campaign");
