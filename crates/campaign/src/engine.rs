@@ -985,7 +985,7 @@ fn run_cell(
     };
     cp.restore_into(&mut core)?;
     if let Some(len) = window {
-        core.enable_windows(len);
+        core.probe_mut().enable_windows(len);
     }
     let res = core
         .run(MAX_CELL_CYCLES, interval.len)

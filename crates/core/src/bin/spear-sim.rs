@@ -20,7 +20,8 @@ use spear_cpu::{Core, TraceSource};
 use spear_isa::binfile;
 use spear_mem::LatencyConfig;
 use spear_trace::TraceFile;
-use std::io::BufWriter;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::process::exit;
 
 /// The exit-code contract, applied uniformly across subcommands:
@@ -38,6 +39,15 @@ mod exitcode {
     pub const USAGE: i32 = 2;
     pub const RUNTIME: i32 = 3;
     pub const INTERRUPTED: i32 = 4;
+}
+
+/// Create an output file before any simulation time is spent, so a bad
+/// path fails fast with the runtime exit code instead of after the run.
+fn create_output(path: &str) -> File {
+    File::create(path).unwrap_or_else(|e| {
+        eprintln!("spear-sim: cannot create `{path}`: {e}");
+        exit(exitcode::RUNTIME)
+    })
 }
 
 fn usage() -> ! {
@@ -182,11 +192,12 @@ fn record_main(args: Vec<String>) -> ! {
         usage()
     };
     let binary = load_input(&file);
+    let mut out_file = create_output(&out);
     let (bytes, stats) = spear_trace::record(&binary, max_insts).unwrap_or_else(|e| {
         eprintln!("spear-sim: record `{file}`: {e}");
         exit(exitcode::RUNTIME)
     });
-    std::fs::write(&out, &bytes).unwrap_or_else(|e| {
+    out_file.write_all(&bytes).unwrap_or_else(|e| {
         eprintln!("spear-sim: cannot write `{out}`: {e}");
         exit(exitcode::RUNTIME)
     });
@@ -774,25 +785,29 @@ fn main() {
     let bpred_label = cfg.bpred.spec_label();
     let commit_width = cfg.commit_width;
     let mem_latency = cfg.hier.latency.memory;
+    // Every output file is opened before the run.
+    let open = |path: Option<&str>| path.map(|p| (p.to_string(), create_output(p)));
+    let trace_out = open(trace_file.as_deref());
+    let pipeview_out = open(pipeview.as_deref());
+    let perfetto_out = open(perfetto.as_deref());
+    let stats_out = open(stats_json.as_deref());
     let mut core = match &replay {
         Some(tf) => Core::with_source(&tf.binary, cfg, Box::new(TraceSource::new(tf))),
         None => Core::new(binary.as_ref().expect("program front end"), cfg),
     };
     if let Some(cap) = trace {
-        core.enable_trace(cap);
+        core.probe_mut().enable_ring(cap);
     }
-    if let Some(path) = &trace_file {
-        let f = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("spear-sim: cannot create trace file `{path}`: {e}");
-            exit(exitcode::RUNTIME)
-        });
-        core.set_trace_sink(Box::new(BufWriter::new(f)));
+    if let Some((_, f)) = trace_out {
+        core.probe_mut().set_sink(Box::new(f));
     }
-    if pipeview.is_some() || perfetto.is_some() {
-        core.enable_lifecycle(spear_cpu::DEFAULT_LIFECYCLE_CAP);
+    let lifecycle = pipeview_out.is_some() || perfetto_out.is_some();
+    if lifecycle {
+        core.probe_mut()
+            .enable_lifecycle(spear_cpu::DEFAULT_LIFECYCLE_CAP);
     }
     if let Some(len) = window {
-        core.enable_windows(len);
+        core.probe_mut().enable_windows(len);
     }
     let wall_start = std::time::Instant::now();
     let res = core.run(max_cycles, max_insts).unwrap_or_else(|e| {
@@ -804,9 +819,11 @@ fn main() {
     let sim_perf = SimPerf::from_run(s.committed, s.cycles, wall);
 
     // Pipeline-timeline exports from the retained lifecycle records.
-    if pipeview.is_some() || perfetto.is_some() {
-        let obs = core.obs().expect("lifecycle was enabled");
-        let log = obs.lifecycle.as_ref().expect("lifecycle was enabled");
+    if lifecycle {
+        let log = core
+            .probe()
+            .and_then(|p| p.lifecycle.as_ref())
+            .expect("lifecycle was enabled");
         if log.dropped > 0 {
             eprintln!(
                 "spear-sim: lifecycle cap reached; {} record(s) dropped \
@@ -815,11 +832,8 @@ fn main() {
             );
         }
         let export =
-            |path: &str, f: &dyn Fn(&mut BufWriter<std::fs::File>) -> std::io::Result<()>| {
-                let file = std::fs::File::create(path).unwrap_or_else(|e| {
-                    eprintln!("spear-sim: cannot create `{path}`: {e}");
-                    exit(exitcode::RUNTIME)
-                });
+            |(path, file): (String, File),
+             f: &dyn Fn(&mut BufWriter<File>) -> std::io::Result<()>| {
                 let mut w = BufWriter::new(file);
                 f(&mut w)
                     .and_then(|()| w.into_inner().map_err(|e| e.into_error()).map(drop))
@@ -828,17 +842,17 @@ fn main() {
                         exit(exitcode::RUNTIME)
                     });
             };
-        if let Some(path) = &pipeview {
-            export(path, &|w| spear::obs::write_konata(w, &log.records));
+        if let Some(out) = pipeview_out {
+            export(out, &|w| spear::obs::write_konata(w, &log.records));
         }
-        if let Some(path) = &perfetto {
-            export(path, &|w| {
+        if let Some(out) = perfetto_out {
+            export(out, &|w| {
                 spear::obs::write_perfetto(w, &log.records, &log.samples)
             });
         }
     }
 
-    if let Some(path) = &stats_json {
+    if let Some((path, mut f)) = stats_out {
         let doc = StatsExport::new(
             file.clone(),
             machine.name(),
@@ -849,7 +863,7 @@ fn main() {
         .with_sim_perf(sim_perf)
         .with_bpred(&bpred_label)
         .with_frontend(if replay.is_some() { "trace" } else { "program" });
-        std::fs::write(path, doc.to_json()).unwrap_or_else(|e| {
+        f.write_all(doc.to_json().as_bytes()).unwrap_or_else(|e| {
             eprintln!("spear-sim: cannot write `{path}`: {e}");
             exit(exitcode::RUNTIME)
         });
@@ -912,10 +926,14 @@ fn main() {
     }
     // The in-memory episode trace prints after (never interleaved with)
     // the statistics block, and only when it retained something.
-    if let Some(t) = core.trace() {
-        if trace.is_some() && !t.is_empty() {
-            println!("\nepisode trace (last {} of {} events):", t.len(), t.total);
-            for e in t.events() {
+    if let Some(ring) = core.probe().and_then(|p| p.ring.as_ref()) {
+        if !ring.is_empty() {
+            println!(
+                "\nepisode trace (last {} of {} events):",
+                ring.len(),
+                ring.total
+            );
+            for e in ring.events() {
                 println!("  {e}");
             }
         }

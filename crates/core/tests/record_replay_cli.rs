@@ -177,3 +177,40 @@ fn record_without_trace_out_is_a_usage_error() {
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("--trace-out"), "{stderr}");
 }
+
+/// Every output path is opened before any simulation time is spent: a
+/// path in a missing directory exits with the runtime code, names the
+/// path, and prints no results. Where a run can carry a JSONL witness
+/// (`--trace-file`), the witness must stay empty: not one cycle ran.
+#[test]
+fn unwritable_output_paths_fail_before_simulating() {
+    let bad = "/nonexistent-dir/out";
+    let witness = temp_path("witness.jsonl");
+    let w = witness.to_str().unwrap();
+    let sim = ["workload:field", "--max-insts", "20000", "--trace-file", w];
+    let cases: [(&[&str], &[&str]); 5] = [
+        (&sim, &["--stats-json", bad]),
+        (&sim, &["--pipeview", bad]),
+        (&sim, &["--perfetto", bad]),
+        (&["workload:field"], &["--trace-file", bad]),
+        (&["record", "workload:field"], &["--trace-out", bad]),
+    ];
+    for (base, flag) in cases {
+        let _ = std::fs::remove_file(&witness);
+        let args = [base, flag].concat();
+        let (code, stdout, stderr) = run(&args);
+        assert_eq!(code, 3, "{args:?}: runtime exit code, got {code}: {stderr}");
+        assert!(stderr.contains(bad), "{args:?}: names the path: {stderr}");
+        assert!(
+            !stdout.lines().any(|l| l.starts_with("cycles")),
+            "{args:?}: no results printed: {stdout}"
+        );
+        assert!(
+            !stdout.contains("recorded"),
+            "{args:?}: failed before recording: {stdout}"
+        );
+        let streamed = std::fs::metadata(&witness).map_or(0, |m| m.len());
+        assert_eq!(streamed, 0, "{args:?}: failed before simulating");
+    }
+    let _ = std::fs::remove_file(&witness);
+}

@@ -30,10 +30,10 @@ use crate::config::CoreConfig;
 use crate::ctx::{MAIN_CTX, PTHREAD_CTX};
 use crate::frontend::{BaselineFrontEnd, FrontEndExt};
 use crate::pipeline::Pipeline;
+use crate::probe::{self, Probe};
 use crate::spear::SpearFrontEnd;
 use crate::stage;
 use crate::stats::{CoreStats, RunExit};
-use crate::trace::{Event, Trace};
 use spear_bpred::Predictor;
 use spear_exec::{ExecError, Memory, RegFile};
 use spear_isa::SpearBinary;
@@ -159,26 +159,10 @@ impl<'p> Core<'p> {
         let port = fe.extract(pipe);
         stage::dispatch::run(pipe, fe, port)?;
         stage::fetch::run(pipe, fe);
-        // Stream the cache-line fills this cycle produced (only when a
-        // trace sink is attached; the hierarchy log is off otherwise).
-        if let Some(t) = &mut pipe.trace {
-            if t.has_sink() {
-                let cycle = pipe.cycle;
-                for f in pipe.hier.drain_fills() {
-                    t.stream(Event::Fill {
-                        cycle,
-                        block_addr: f.block_addr,
-                        latency: f.latency,
-                        pthread: f.pthread,
-                        ctx: if f.pthread { PTHREAD_CTX.0 } else { MAIN_CTX.0 },
-                    });
-                }
-            }
-        }
-        // End-of-cycle observability hook: counter samples and window
+        // End-of-cycle probe hook: fills, counter samples and window
         // boundaries. One branch when disabled.
-        if pipe.obs.is_some() {
-            crate::obs::on_cycle_end(pipe);
+        if pipe.probe.is_some() {
+            probe::on_cycle_end(pipe);
         }
         if pipe.cycle - pipe.last_commit_cycle > DEADLOCK_CYCLES && !pipe.halted {
             return Err(SimError::Deadlock { cycle: pipe.cycle });
@@ -190,8 +174,8 @@ impl<'p> Core<'p> {
         let pipe = &mut self.pipe;
         // Close the in-progress partial telemetry window (before the
         // stats are cloned) so windows partition the run exactly.
-        if pipe.obs.is_some() {
-            crate::obs::on_run_end(pipe);
+        if pipe.probe.is_some() {
+            probe::on_run_end(pipe);
         }
         // Prefetches still unclaimed when the run ends never helped
         // anyone — close the timely/late/useless partition.
@@ -205,9 +189,6 @@ impl<'p> Core<'p> {
         pipe.stats.useful_prefetches = pipe.hier.useful_prefetches;
         pipe.stats.late_prefetches = pipe.hier.late_prefetches;
         pipe.stats.dload_profiles = self.fe.harvest_profiles(&pipe.hier);
-        if let Some(t) = &mut pipe.trace {
-            t.flush();
-        }
         RunResult {
             exit,
             stats: pipe.stats.clone(),
@@ -333,52 +314,18 @@ impl<'p> Core<'p> {
         self.pipe.halted
     }
 
-    /// Keep a bounded log of SPEAR front-end events (trigger, live-in
-    /// copy, extraction, episode end, flush).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.pipe.trace = Some(Trace::new(capacity));
+    /// The observability probe, if one is attached.
+    pub fn probe(&self) -> Option<&Probe> {
+        self.pipe.probe.as_deref()
     }
 
-    /// Stream every trace event — the episode events plus high-volume
-    /// pipeline events (per-instruction commits, cache-line fills) — as
-    /// one JSON object per line to `sink`. Composes with
-    /// [`Core::enable_trace`]; without it, only the sink sees events
-    /// (the in-memory ring stays empty).
-    pub fn set_trace_sink(&mut self, sink: Box<dyn std::io::Write + Send>) {
-        let t = self.pipe.trace.get_or_insert_with(|| Trace::new(0));
-        t.set_sink(sink);
-        self.pipe.hier.enable_fill_log();
-    }
-
-    /// The recorded trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.pipe.trace.as_ref()
-    }
-
-    /// Collect per-instruction pipeline lifecycle records (and counter
-    /// samples) for the Konata/Perfetto exporters, retaining at most
-    /// `cap` of each.
-    pub fn enable_lifecycle(&mut self, cap: usize) {
-        self.pipe
-            .obs
-            .get_or_insert_with(Default::default)
-            .enable_lifecycle(cap);
-    }
-
-    /// Accumulate windowed interval telemetry into
-    /// [`CoreStats::windows`], closing a window every `len` cycles (and
-    /// streaming each closed window to the trace sink, if one is
-    /// attached).
-    pub fn enable_windows(&mut self, len: u64) {
-        self.pipe
-            .obs
-            .get_or_insert_with(Default::default)
-            .enable_windows(len);
-    }
-
-    /// The observability state (lifecycle records, counter samples), if
-    /// enabled.
-    pub fn obs(&self) -> Option<&crate::obs::Obs> {
-        self.pipe.obs.as_deref()
+    /// The observability probe, attached on first use; enable its parts
+    /// before the first cycle. While a probe is attached the hierarchy
+    /// logs cache-line fills for the JSONL sink.
+    pub fn probe_mut(&mut self) -> &mut Probe {
+        if self.pipe.probe.is_none() {
+            self.pipe.hier.enable_fill_log();
+        }
+        self.pipe.probe.get_or_insert_with(Default::default)
     }
 }

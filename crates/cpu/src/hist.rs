@@ -82,15 +82,7 @@ impl Histogram {
     /// in `other` had been recorded here. Used when aggregating sampled
     /// simulation intervals into one campaign-level statistic.
     pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, &c) in other.buckets.iter().enumerate() {
-            self.buckets[b] += c;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
+        self.merge_scaled(other, 1);
     }
 
     /// Fold another histogram in `weight` times over, as if every value

@@ -13,6 +13,12 @@
 //! [`spear_exec::Interp`] golden model by construction (execute-at-dispatch
 //! oracle timing); the differential tests in `tests/` enforce this for
 //! every workload.
+//!
+//! Simulated-time observability — the episode-event ring, the JSONL event
+//! stream, per-instruction lifecycle records and windowed telemetry — is
+//! one optional [`Probe`] on the pipeline (see [`probe`]), reached through
+//! [`Core::probe_mut`]. It is off by default and costs one branch per
+//! recording site.
 
 pub mod config;
 pub mod core;
@@ -23,15 +29,14 @@ pub mod fu;
 pub mod hist;
 pub mod ifq;
 pub mod machine;
-pub mod obs;
 pub mod overlay;
 pub mod pipeline;
+pub mod probe;
 pub mod ruu;
 pub mod source;
 pub mod spear;
 pub mod stage;
 pub mod stats;
-pub mod trace;
 
 pub use crate::core::{Core, RunResult, SimError};
 pub use config::{CoreConfig, OpLatencies, SpearConfig};
@@ -40,7 +45,9 @@ pub use export::{SimPerf, SimpointBlock, StatsExport, SCHEMA_VERSION};
 pub use frontend::{BaselineFrontEnd, FrontEndExt};
 pub use hist::Histogram;
 pub use machine::Machine;
-pub use obs::{CounterSample, LifeRecord, DEFAULT_LIFECYCLE_CAP, DEFAULT_WINDOW_CYCLES};
+pub use probe::{
+    CounterSample, Event, LifeRecord, Probe, DEFAULT_LIFECYCLE_CAP, DEFAULT_WINDOW_CYCLES,
+};
 pub use ruu::{Ruu, SeqId};
 pub use source::{ExecSource, ProgramSource, TraceSource};
 pub use stats::{CoreStats, CycleAccount, DloadProfile, RunExit, StallCause, WindowStat};

@@ -13,11 +13,11 @@ use crate::config::CoreConfig;
 use crate::ctx::{CtxId, HwContext, MAIN_CTX};
 use crate::fu::FuPool;
 use crate::ifq::Ifq;
+use crate::probe::{Event, Probe};
 use crate::ruu::Ruu;
 use crate::source::{ExecSource, ProgramSource};
 use crate::stage::{IssueLatch, RecoveryPort};
 use crate::stats::CoreStats;
-use crate::trace::{Event, Trace};
 use spear_bpred::Predictor;
 use spear_exec::{Memory, RegFile};
 use spear_isa::{Inst, Program};
@@ -169,12 +169,10 @@ pub struct Pipeline<'p> {
 
     /// Counters.
     pub stats: CoreStats,
-    /// Optional episode trace.
-    pub trace: Option<Trace>,
-    /// Optional observability state (lifecycle records, windowed
-    /// telemetry). Boxed so the disabled case costs one pointer and one
-    /// branch per site.
-    pub obs: Option<Box<crate::obs::Obs>>,
+    /// Optional observability probe (episode ring, JSONL sink, lifecycle
+    /// records, windowed telemetry). Boxed so the disabled case costs one
+    /// pointer and one branch per site.
+    pub probe: Option<Box<Probe>>,
 }
 
 impl<'p> Pipeline<'p> {
@@ -230,8 +228,7 @@ impl<'p> Pipeline<'p> {
             last_commit_cycle: 0,
             halted: false,
             stats: CoreStats::default(),
-            trace: None,
-            obs: None,
+            probe: None,
             source,
             cfg,
         }
@@ -283,34 +280,21 @@ impl<'p> Pipeline<'p> {
         self.commit_regs.read_u64(r)
     }
 
-    /// Record an event into the bounded trace ring (no-op without one).
+    /// Record an event with the probe (no-op without one). The closure
+    /// receives the current cycle and runs only when a probe is attached.
     #[inline]
-    pub fn trace_event(&mut self, f: impl FnOnce(u64) -> Event) {
-        if let Some(t) = &mut self.trace {
-            let cycle = self.cycle;
-            t.record(f(cycle));
+    pub fn emit(&mut self, f: impl FnOnce(u64) -> Event) {
+        if let Some(p) = &mut self.probe {
+            p.emit(f(self.cycle));
         }
     }
 
-    /// Like [`Pipeline::trace_event`] but sink-only, for per-instruction
-    /// pipeline events too frequent for the bounded ring.
+    /// Record an instruction leaving the RUU — retirement (`squashed ==
+    /// false`) or squash — with the probe. One branch without one.
     #[inline]
-    pub fn stream_event(&mut self, f: impl FnOnce(u64) -> Event) {
-        if let Some(t) = &mut self.trace {
-            if t.has_sink() {
-                let cycle = self.cycle;
-                t.stream(f(cycle));
-            }
-        }
-    }
-
-    /// Record an instruction's end of life — retirement (`squashed ==
-    /// false`) or squash — into the lifecycle log. One branch when
-    /// observability is off.
-    #[inline]
-    pub fn obs_retire(&mut self, e: &RuuEntry, squashed: bool) {
-        if let Some(o) = &mut self.obs {
-            o.record_retire(e, self.cycle, squashed);
+    pub fn retire(&mut self, e: &RuuEntry, squashed: bool) {
+        if let Some(p) = &mut self.probe {
+            p.retire(e, self.cycle, squashed);
         }
     }
 }

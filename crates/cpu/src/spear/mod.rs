@@ -27,10 +27,10 @@ use crate::ctx::{CtxId, MAIN_CTX, PTHREAD_CTX};
 use crate::frontend::{FrontEndExt, PreDecode};
 use crate::ifq::IfqEntry;
 use crate::pipeline::{EState, Pipeline, RuuEntry};
+use crate::probe::{AbortReason, Event};
 use crate::ruu::SeqId;
 use crate::stage::DecodePort;
 use crate::stats::DloadProfile;
-use crate::trace::{AbortReason, Event};
 use spear_exec::exec_inst;
 use spear_isa::pthread::PThreadEntry;
 use spear_mem::Hierarchy;
@@ -186,7 +186,7 @@ impl<'p> SpearFrontEnd<'p> {
         self.episode_start = pipe.cycle;
         self.episode_id += 1;
         self.episode_extracted = 0;
-        pipe.trace_event(|cycle| Event::Trigger {
+        pipe.emit(|cycle| Event::Trigger {
             cycle,
             dload_pc,
             occupancy,
@@ -255,7 +255,7 @@ impl<'p> SpearFrontEnd<'p> {
             self.mode = Mode::Normal;
             pipe.stats.preexec_aborted_missed += 1;
             self.record_episode_end(pipe);
-            pipe.trace_event(|cycle| Event::EpisodeAborted {
+            pipe.emit(|cycle| Event::EpisodeAborted {
                 cycle,
                 reason: AbortReason::MissedTrigger,
             });
@@ -336,7 +336,7 @@ impl<'p> SpearFrontEnd<'p> {
                     self.mode = Mode::Normal;
                     pipe.stats.preexec_aborted_missed += 1;
                     self.record_episode_end(pipe);
-                    pipe.trace_event(|cycle| Event::EpisodeAborted {
+                    pipe.emit(|cycle| Event::EpisodeAborted {
                         cycle,
                         reason: AbortReason::Fault,
                     });
@@ -510,7 +510,7 @@ impl FrontEndExt for SpearFrontEnd<'_> {
                         ctx.regs.write_u64(r, v);
                     }
                     pipe.ifq.reset_scan();
-                    pipe.trace_event(|cycle| Event::LiveInsCopied { cycle, count: n });
+                    pipe.emit(|cycle| Event::LiveInsCopied { cycle, count: n });
                     self.mode = Mode::PreExec {
                         dload_seq,
                         dload_pc,
@@ -550,7 +550,7 @@ impl FrontEndExt for SpearFrontEnd<'_> {
             let pc = entry.pc;
             let ctx = self.ctx.0;
             self.episode_extracted += 1;
-            pipe.trace_event(|cycle| Event::Extract {
+            pipe.emit(|cycle| Event::Extract {
                 cycle,
                 pc,
                 is_trigger,
@@ -625,7 +625,7 @@ impl FrontEndExt for SpearFrontEnd<'_> {
             self.mode = Mode::Normal;
             pipe.stats.preexec_aborted_flush += 1;
             self.record_episode_end(pipe);
-            pipe.trace_event(|cycle| Event::EpisodeAborted {
+            pipe.emit(|cycle| Event::EpisodeAborted {
                 cycle,
                 reason: AbortReason::Flush,
             });
@@ -643,7 +643,7 @@ impl FrontEndExt for SpearFrontEnd<'_> {
             pipe.stats.preexec_completed += 1;
             self.episode_tally.entry(dload_pc).or_default().completed += 1;
             self.record_episode_end(pipe);
-            pipe.trace_event(|cycle| Event::EpisodeComplete { cycle });
+            pipe.emit(|cycle| Event::EpisodeComplete { cycle });
         }
     }
 

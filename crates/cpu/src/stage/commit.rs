@@ -5,7 +5,6 @@ use crate::ctx::MAIN_CTX;
 use crate::frontend::FrontEndExt;
 use crate::pipeline::{EState, Pipeline};
 use crate::stats::StallCause;
-use crate::trace::Event;
 
 /// Retire up to `commit_width` main-context instructions, charge every
 /// unused commit slot to exactly one stall cause, then free completed
@@ -41,13 +40,7 @@ pub fn run(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt) {
             pipe.stats.committed_branches += 1;
         }
         budget -= 1;
-        let pc = e.pc;
-        pipe.stream_event(|cycle| Event::Commit {
-            cycle,
-            pc,
-            ctx: MAIN_CTX.0,
-        });
-        pipe.obs_retire(&e, false);
+        pipe.retire(&e, false);
         if e.is_halt {
             pipe.halted = true;
             halted_now = true;
@@ -81,7 +74,7 @@ pub fn run(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt) {
             }
             let e = pipe.ruu.remove(id).expect("front entry exists");
             pipe.ctxs[i].order.pop_front();
-            pipe.obs_retire(&e, false);
+            pipe.retire(&e, false);
             fe.on_ctx_retired(pipe, &e);
         }
     }

@@ -4,8 +4,8 @@
 use crate::ctx::MAIN_CTX;
 use crate::frontend::FrontEndExt;
 use crate::pipeline::{EState, Pipeline};
+use crate::probe::Event;
 use crate::ruu::SeqId;
-use crate::trace::Event;
 
 /// Complete executing entries whose latency has elapsed, wake their
 /// consumers (in sequence order, for determinism), release completed
@@ -80,7 +80,7 @@ pub fn recover(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt, branch_seq: SeqId,
         .collect();
     for &s in &squash {
         if let Some(e) = pipe.ruu.remove(s) {
-            pipe.obs_retire(&e, true);
+            pipe.retire(&e, true);
         }
     }
     pipe.stats.squashed += squash.len() as u64;
@@ -107,7 +107,7 @@ pub fn recover(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt, branch_seq: SeqId,
     pipe.recovery.pending = None;
     pipe.post_flush_refill = true;
     fe.on_flush(pipe);
-    pipe.trace_event(|cycle| Event::Flush {
+    pipe.emit(|cycle| Event::Flush {
         cycle,
         redirect_pc: target,
     });

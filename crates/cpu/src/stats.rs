@@ -105,16 +105,7 @@ impl CycleAccount {
     /// `useful_slots + lost_slots() == cycles * commit_width` for their
     /// own cycle counts, the sum satisfies it for the summed cycles.
     pub fn merge(&mut self, other: &CycleAccount) {
-        self.useful_slots += other.useful_slots;
-        self.icache_stall += other.icache_stall;
-        self.ifq_empty_after_flush += other.ifq_empty_after_flush;
-        self.branch_recovery += other.branch_recovery;
-        self.dload_miss += other.dload_miss;
-        self.fu_busy += other.fu_busy;
-        self.mem_port_contention += other.mem_port_contention;
-        self.pthread_contention += other.pthread_contention;
-        self.frontend_other += other.frontend_other;
-        self.ruu_full_cycles += other.ruu_full_cycles;
+        self.merge_scaled(other, 1);
     }
 
     /// Add `weight` copies of another account's slot-cycles to this one
@@ -533,69 +524,7 @@ impl CoreStats {
     /// merges as long as either both sides carry windows or both are
     /// empty.
     pub fn merge(&mut self, other: &CoreStats) {
-        self.cycles += other.cycles;
-        self.committed += other.committed;
-        self.committed_loads += other.committed_loads;
-        self.committed_stores += other.committed_stores;
-        self.committed_branches += other.committed_branches;
-        self.fetched += other.fetched;
-        self.squashed += other.squashed;
-        self.recoveries += other.recoveries;
-        self.triggers_accepted += other.triggers_accepted;
-        self.triggers_ignored_busy += other.triggers_ignored_busy;
-        self.triggers_rejected_occupancy += other.triggers_rejected_occupancy;
-        self.preexec_aborted_flush += other.preexec_aborted_flush;
-        self.preexec_retargets += other.preexec_retargets;
-        self.preexec_aborted_missed += other.preexec_aborted_missed;
-        self.preexec_completed += other.preexec_completed;
-        self.pthread_insts += other.pthread_insts;
-        self.pthread_loads += other.pthread_loads;
-        self.missed_extractions += other.missed_extractions;
-        self.livein_copy_cycles += other.livein_copy_cycles;
-        self.pthread_faults += other.pthread_faults;
-        self.bpred.cond_branches += other.bpred.cond_branches;
-        self.bpred.cond_correct += other.bpred.cond_correct;
-        self.bpred.indirect += other.bpred.indirect;
-        self.bpred.indirect_correct += other.bpred.indirect_correct;
-        for (mine, theirs) in [(&mut self.l1d, &other.l1d), (&mut self.l2, &other.l2)] {
-            mine.reads += theirs.reads;
-            mine.writes += theirs.writes;
-            mine.read_misses += theirs.read_misses;
-            mine.write_misses += theirs.write_misses;
-            mine.writebacks += theirs.writebacks;
-        }
-        self.l1d_main_misses += other.l1d_main_misses;
-        self.l1d_pthread_misses += other.l1d_pthread_misses;
-        self.useful_prefetches += other.useful_prefetches;
-        self.late_prefetches += other.late_prefetches;
-        self.episode_cycles.merge(&other.episode_cycles);
-        self.episode_extractions.merge(&other.episode_extractions);
-        self.cycle_account.merge(&other.cycle_account);
-        for p in &other.dload_profiles {
-            match self
-                .dload_profiles
-                .binary_search_by_key(&p.dload_pc, |d| d.dload_pc)
-            {
-                Ok(i) => {
-                    let d = &mut self.dload_profiles[i];
-                    d.demand_misses += p.demand_misses;
-                    d.episodes_triggered += p.episodes_triggered;
-                    d.episodes_completed += p.episodes_completed;
-                    d.episodes_aborted += p.episodes_aborted;
-                    d.pthread_loads += p.pthread_loads;
-                    d.timely_prefetches += p.timely_prefetches;
-                    d.late_prefetches += p.late_prefetches;
-                    d.useless_prefetches += p.useless_prefetches;
-                }
-                Err(i) => self.dload_profiles.insert(i, p.clone()),
-            }
-        }
-        self.windows.extend(other.windows.iter().cloned());
-        match (&mut self.bpred_detail, &other.bpred_detail) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (None, Some(theirs)) => self.bpred_detail = Some(theirs.clone()),
-            _ => {}
-        }
+        self.merge_scaled(other, 1);
     }
 
     /// Fold `weight` copies of another run's counters into this one —
@@ -621,14 +550,11 @@ impl CoreStats {
     /// blended estimate cannot reconstruct. Callers must not mix windows
     /// with weighted merging (the campaign engine rejects
     /// `--simpoint --window` up front); a weighted merge of windowed
-    /// stats panics in debug builds.
+    /// stats panics in debug builds. Weight 1 — [`CoreStats::merge`] —
+    /// concatenates the windows; weight 0 is a no-op.
     pub fn merge_scaled(&mut self, other: &CoreStats, weight: u64) {
-        if weight == 1 {
-            self.merge(other);
-            return;
-        }
         debug_assert!(
-            other.windows.is_empty() || weight == 0,
+            other.windows.is_empty() || weight <= 1,
             "windowed telemetry cannot be weight-blended"
         );
         if weight == 0 {
@@ -676,34 +602,26 @@ impl CoreStats {
         self.cycle_account
             .merge_scaled(&other.cycle_account, weight);
         for p in &other.dload_profiles {
-            match self
+            let pos = self
                 .dload_profiles
-                .binary_search_by_key(&p.dload_pc, |d| d.dload_pc)
-            {
-                Ok(i) => {
-                    let d = &mut self.dload_profiles[i];
-                    d.demand_misses += p.demand_misses * weight;
-                    d.episodes_triggered += p.episodes_triggered * weight;
-                    d.episodes_completed += p.episodes_completed * weight;
-                    d.episodes_aborted += p.episodes_aborted * weight;
-                    d.pthread_loads += p.pthread_loads * weight;
-                    d.timely_prefetches += p.timely_prefetches * weight;
-                    d.late_prefetches += p.late_prefetches * weight;
-                    d.useless_prefetches += p.useless_prefetches * weight;
-                }
-                Err(i) => {
-                    let mut scaled = p.clone();
-                    scaled.demand_misses *= weight;
-                    scaled.episodes_triggered *= weight;
-                    scaled.episodes_completed *= weight;
-                    scaled.episodes_aborted *= weight;
-                    scaled.pthread_loads *= weight;
-                    scaled.timely_prefetches *= weight;
-                    scaled.late_prefetches *= weight;
-                    scaled.useless_prefetches *= weight;
-                    self.dload_profiles.insert(i, scaled);
-                }
-            }
+                .binary_search_by_key(&p.dload_pc, |d| d.dload_pc);
+            let i = pos.unwrap_or_else(|i| {
+                let fresh = DloadProfile {
+                    dload_pc: p.dload_pc,
+                    ..Default::default()
+                };
+                self.dload_profiles.insert(i, fresh);
+                i
+            });
+            let d = &mut self.dload_profiles[i];
+            d.demand_misses += p.demand_misses * weight;
+            d.episodes_triggered += p.episodes_triggered * weight;
+            d.episodes_completed += p.episodes_completed * weight;
+            d.episodes_aborted += p.episodes_aborted * weight;
+            d.pthread_loads += p.pthread_loads * weight;
+            d.timely_prefetches += p.timely_prefetches * weight;
+            d.late_prefetches += p.late_prefetches * weight;
+            d.useless_prefetches += p.useless_prefetches * weight;
         }
         if let Some(theirs) = &other.bpred_detail {
             let mut scaled = theirs.clone();
@@ -714,6 +632,9 @@ impl CoreStats {
                 Some(m) => m.merge(&scaled),
                 None => self.bpred_detail = Some(scaled),
             }
+        }
+        if weight == 1 {
+            self.windows.extend(other.windows.iter().cloned());
         }
     }
 }

@@ -658,12 +658,12 @@ fn pe_bandwidth_one_still_completes_episodes() {
 fn trace_records_full_episode_lifecycle() {
     let b = gather_spear(1 << 15, 2000);
     let mut core = Core::new(&b, CoreConfig::spear(128));
-    core.enable_trace(100_000);
+    core.probe_mut().enable_ring(100_000);
     core.run(50_000_000, u64::MAX).unwrap();
-    let t = core.trace().unwrap();
-    use spear_cpu::trace::Event;
+    let ring = core.probe().and_then(|p| p.ring.as_ref()).unwrap();
+    use spear_cpu::Event;
     let mut kinds = [0u64; 4];
-    for e in t.events() {
+    for e in ring.events() {
         match e {
             Event::Trigger { .. } => kinds[0] += 1,
             Event::LiveInsCopied { .. } => kinds[1] += 1,

@@ -209,7 +209,7 @@ fn trace_sink_streams_parseable_jsonl() {
     let b = gather_spear(1 << 15, 1500);
     let mut core = Core::new(&b, CoreConfig::spear(128));
     let sink = Shared::default();
-    core.set_trace_sink(Box::new(sink.clone()));
+    core.probe_mut().set_sink(Box::new(sink.clone()));
     let res = core.run(50_000_000, u64::MAX).unwrap();
     assert_eq!(res.exit, RunExit::Halted);
     let bytes = sink.0.lock().unwrap().clone();
@@ -244,7 +244,7 @@ fn windows_partition_the_run_exactly() {
     let cfg = CoreConfig::spear(128);
     let width = cfg.commit_width;
     let mut core = Core::new(&b, cfg);
-    core.enable_windows(1000);
+    core.probe_mut().enable_windows(1000);
     let res = core.run(50_000_000, u64::MAX).unwrap();
     assert_eq!(res.exit, RunExit::Halted);
     let windows = &res.stats.windows;
@@ -298,8 +298,9 @@ fn window_events_stream_to_the_sink() {
     let b = gather_spear(1 << 15, 1500);
     let mut core = Core::new(&b, CoreConfig::spear(128));
     let sink = Shared::default();
-    core.set_trace_sink(Box::new(sink.clone()));
-    core.enable_windows(2000);
+    let probe = core.probe_mut();
+    probe.set_sink(Box::new(sink.clone()));
+    probe.enable_windows(2000);
     let res = core.run(50_000_000, u64::MAX).unwrap();
     let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
     let mut window_rows = 0usize;
@@ -325,11 +326,13 @@ fn window_events_stream_to_the_sink() {
 fn lifecycle_records_cover_the_run_with_ordered_stamps() {
     let b = gather_spear(1 << 16, 3000);
     let mut core = Core::new(&b, CoreConfig::spear(128));
-    core.enable_lifecycle(1_000_000);
+    core.probe_mut().enable_lifecycle(1_000_000);
     let res = core.run(50_000_000, u64::MAX).unwrap();
     assert_eq!(res.exit, RunExit::Halted);
-    let obs = core.obs().expect("lifecycle enabled");
-    let log = obs.lifecycle.as_ref().expect("lifecycle enabled");
+    let log = core
+        .probe()
+        .and_then(|p| p.lifecycle.as_ref())
+        .expect("lifecycle enabled");
     assert_eq!(log.dropped, 0, "cap not hit at this size");
     let records = &log.records;
     let main_committed = records.iter().filter(|r| r.ctx == 0 && !r.squashed).count() as u64;
@@ -368,8 +371,5 @@ fn lifecycle_records_cover_the_run_with_ordered_stamps() {
     let max_episode = records.iter().map(|r| r.episode).max().unwrap_or(0);
     assert!(max_episode as u64 <= res.stats.triggers_accepted);
     assert!(max_episode > 0, "the gather triggers episodes");
-    assert!(
-        !obs.lifecycle.as_ref().unwrap().samples.is_empty(),
-        "counter samples were collected"
-    );
+    assert!(!log.samples.is_empty(), "counter samples were collected");
 }

@@ -470,7 +470,7 @@ fn check_sampled_vs_full(
             // Windowed telemetry rides along on every interval: the
             // per-window partition must hold inside each interval and
             // survive the merge below (check_invariants covers both).
-            core.enable_windows((interval / 4).max(16));
+            core.probe_mut().enable_windows((interval / 4).max(16));
             let res = core
                 .run(CYCLE_BUDGET, interval)
                 .map_err(|e| fail("sim-error", e.to_string()))?;

@@ -42,7 +42,7 @@ fn main() {
         .compile(&program)
         .expect("compile");
     let mut core = Core::new(&binary, CoreConfig::spear(128));
-    core.enable_trace(64);
+    core.probe_mut().enable_ring(64);
 
     println!(
         "{:>7} {:>5} {:>5} {:>5} {:>12} {:>10}  (bar = IFQ occupancy)",
@@ -72,8 +72,8 @@ fn main() {
         }
     }
     println!("\nepisode event trace:");
-    if let Some(t) = core.trace() {
-        for e in t.events() {
+    if let Some(ring) = core.probe().and_then(|p| p.ring.as_ref()) {
+        for e in ring.events() {
             println!("  {e}");
         }
     }
