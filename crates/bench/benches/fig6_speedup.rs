@@ -5,11 +5,10 @@
 //! +12.7% (128-entry IFQ) and +20.1% (256-entry IFQ); tr/field/fft/gzip
 //! see slight degradations (1–6.2%).
 //!
-//! `SPEAR_SAMPLED=INTERVAL[:STRIDE]` routes the matrix through the
-//! checkpointed sampling campaign engine (resumable via
-//! `SPEAR_CAMPAIGN_DIR`) instead of full-program simulation.
+//! This bench simulates every program in full; the sampled or SimPoint
+//! matrix comes from `spear-sim campaign` (see EXPERIMENTS.md).
 
-use spear::experiments::{compile_all, fig6, run_matrix_campaign, sample_spec_from_env};
+use spear::experiments::{compile_all, fig6};
 use spear::report;
 use spear::Machine;
 
@@ -19,26 +18,7 @@ fn main() {
         // SPEAR_BENCH_FAST=1: a 4-benchmark smoke subset for CI.
         workloads.retain(|w| ["field", "mcf", "matrix", "fft"].contains(&w.name));
     }
-    let m = if let Some(sample) = sample_spec_from_env() {
-        let dir = std::env::var("SPEAR_CAMPAIGN_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|_| {
-                std::env::temp_dir().join(format!("spear-fig6-campaign-{}", std::process::id()))
-            });
-        eprintln!(
-            "(sampled: interval {} stride {}, campaign dir {})",
-            sample.interval_len,
-            sample.stride,
-            dir.display()
-        );
-        let names: Vec<String> = workloads.iter().map(|w| w.name.to_string()).collect();
-        run_matrix_campaign(&names, &Machine::FIG6, None, sample, None, &dir).unwrap_or_else(|e| {
-            eprintln!("fig6: sampled campaign failed: {e}");
-            std::process::exit(1)
-        })
-    } else {
-        fig6(&compile_all(&workloads))
-    };
+    let m = fig6(&compile_all(&workloads));
     // Machine-readable copy for plotting.
     let (header, rows) = report::ipc_matrix_csv(&m);
     let csv = std::path::Path::new("target/spear-results/fig6.csv");

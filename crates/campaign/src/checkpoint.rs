@@ -19,6 +19,7 @@
 //! sweep, so one functional pass per workload yields checkpoints reusable
 //! across every (machine, latency) point of a campaign.
 
+use crate::sample::SampleSpec;
 use serde::{Deserialize, Serialize};
 use spear_bpred::{Predictor, PredictorConfig, PredictorSnapshot};
 use spear_cpu::Core;
@@ -343,11 +344,11 @@ impl CheckpointSet {
 }
 
 /// Run one functional pass over `program`, capturing a checkpoint at the
-/// start of every sampled interval: boundaries are multiples of
-/// `interval_len`, and interval `k` is sampled when `k % stride == 0`.
-/// The pass drives the [`Warmer`] over every instruction (including the
-/// skipped intervals — warming is continuous even where cycle simulation
-/// is not), so each checkpoint carries fully warm state.
+/// start of every sampled interval of `SampleSpec { interval_len, stride }`
+/// (see [`SampleSpec::starts_sampled_interval`]). The pass drives the
+/// [`Warmer`] over every instruction (including the skipped intervals —
+/// warming is continuous even where cycle simulation is not), so each
+/// checkpoint carries fully warm state.
 ///
 /// `max_insts` bounds runaway programs; reaching it is an error (a
 /// campaign needs the true program length to weight its aggregate).
@@ -362,31 +363,12 @@ pub fn capture_interval_checkpoints(
 ) -> Result<CheckpointSet, String> {
     assert!(interval_len > 0, "interval length must be nonzero");
     assert!(stride > 0, "stride must be nonzero");
-    let mut interp = Interp::new(program);
-    let mut warmer = Warmer::new(hier_cfg, bpred_cfg);
-    let mut checkpoints = Vec::new();
-    loop {
-        if interp.halted {
-            break;
-        }
-        if interp.icount >= max_insts {
-            return Err(format!(
-                "{workload}: functional pass exceeded {max_insts} instructions without halting"
-            ));
-        }
-        if interp.icount.is_multiple_of(interval_len)
-            && (interp.icount / interval_len).is_multiple_of(stride)
-        {
-            checkpoints.push(Checkpoint::capture(workload, &interp, &warmer));
-        }
-        let si = interp
-            .step()
-            .map_err(|e| format!("{workload}: functional pass failed: {e}"))?;
-        warmer.observe(&si);
-    }
-    Ok(CheckpointSet {
-        checkpoints,
-        total_insts: interp.icount,
+    let spec = SampleSpec {
+        interval_len,
+        stride,
+    };
+    capture_where(program, workload, hier_cfg, bpred_cfg, max_insts, |i| {
+        spec.starts_sampled_interval(i)
     })
 }
 
@@ -411,33 +393,48 @@ pub fn capture_checkpoints_at(
         boundaries.windows(2).all(|w| w[0] < w[1]),
         "boundaries must be ascending and unique"
     );
+    let mut next = 0usize;
+    let set = capture_where(program, workload, hier_cfg, bpred_cfg, max_insts, |i| {
+        let hit = boundaries.get(next) == Some(&i);
+        next += usize::from(hit);
+        hit
+    })?;
+    match boundaries.get(next) {
+        Some(b) => Err(format!(
+            "{workload}: checkpoint boundary {b} lies at or past the program's halt point ({})",
+            set.total_insts
+        )),
+        None => Ok(set),
+    }
+}
+
+/// The one warming loop: run `program` functionally to `halt`, driving a
+/// [`Warmer`] over every instruction and capturing a checkpoint before
+/// each instruction index `at` accepts (asked once per index, ascending).
+fn capture_where(
+    program: &Program,
+    workload: &str,
+    hier_cfg: HierConfig,
+    bpred_cfg: PredictorConfig,
+    max_insts: u64,
+    mut at: impl FnMut(u64) -> bool,
+) -> Result<CheckpointSet, String> {
     let mut interp = Interp::new(program);
     let mut warmer = Warmer::new(hier_cfg, bpred_cfg);
     let mut checkpoints = Vec::new();
-    let mut next = 0usize;
-    loop {
-        if interp.halted {
-            break;
-        }
+    while !interp.halted {
         if interp.icount >= max_insts {
             return Err(format!(
                 "{workload}: functional pass exceeded {max_insts} instructions without halting"
             ));
         }
-        if next < boundaries.len() && interp.icount == boundaries[next] {
+        if at(interp.icount) {
             checkpoints.push(Checkpoint::capture(workload, &interp, &warmer));
-            next += 1;
         }
         let si = interp
             .step()
             .map_err(|e| format!("{workload}: functional pass failed: {e}"))?;
         warmer.observe(&si);
-    }
-    if next < boundaries.len() {
-        return Err(format!(
-            "{workload}: checkpoint boundary {} lies at or past the program's halt point ({})",
-            boundaries[next], interp.icount
-        ));
     }
     Ok(CheckpointSet {
         checkpoints,

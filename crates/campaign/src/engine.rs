@@ -1,4 +1,4 @@
-//! The resumable campaign engine: a crash-safe work queue over
+//! The resumable campaign engine: crash-safe, parallel execution of
 //! (workload, machine, predictor, frontend, latency, interval) cells.
 //!
 //! A campaign lives in a directory:
@@ -14,15 +14,19 @@
 //! at most the cells still in flight. On restart the engine replays the
 //! file, skips every completed cell (a truncated final line — the
 //! signature of a mid-write crash — is tolerated and re-run), and
-//! continues. Two phases:
+//! continues. Two phases, both run by the one executor, [`parallel_map`]:
 //!
-//! 1. **prepare** (one job per workload × predictor spec, parallel):
-//!    compile the p-thread table, then one functional pass capturing a
-//!    warm checkpoint at each sampled interval start (see
-//!    [`crate::checkpoint`]);
-//! 2. **simulate** (one job per cell, parallel): build a core, restore
-//!    the interval's checkpoint, run for the interval's instruction
-//!    budget, persist the statistics.
+//! 1. **prepare** (one job per workload × predictor spec): compile the
+//!    p-thread table, then one functional pass capturing a warm
+//!    checkpoint at each sampled interval start — every `stride`-th
+//!    interval, or one SimPoint representative per phase (see
+//!    [`crate::checkpoint`] and [`crate::sample`]);
+//! 2. **simulate** (one job per pending cell, in deterministic order):
+//!    build a core, restore the interval's checkpoint, run for the
+//!    interval's instruction budget, persist the statistics. A stop
+//!    (`max_cells` reached, a cancel, or a failed cell) makes every cell
+//!    not yet started return at once; the summary lists the new cells in
+//!    that same pending order.
 //!
 //! Checkpoints are keyed by (workload, predictor spec): the cache
 //! geometry is identical across the five machine models and the latency
@@ -33,7 +37,7 @@
 
 use crate::cache::{record_trace, ApproxBytes, ShardCache, TraceCache};
 use crate::checkpoint::{capture_checkpoints_at, capture_interval_checkpoints, CheckpointSet};
-use crate::sample::{aggregate, plan_intervals, Aggregate, Interval};
+use crate::sample::{aggregate, plan_intervals, simpoint_plan, Aggregate, Interval};
 use crate::spec::{
     CampaignSpec, CellKey, MachinePoint, ManifestDoc, ShardKey, SimpointSpec, CELL_SCHEMA_VERSION,
 };
@@ -200,13 +204,11 @@ pub struct WorkloadData {
     pub binary: SpearBinary,
     /// Warm checkpoints at each sampled interval start.
     pub set: CheckpointSet,
-    /// The sampled interval plan (under SimPoint: the representative
-    /// interval of each phase, ascending by start instruction).
-    pub intervals: Vec<Interval>,
-    /// Per-interval aggregation weight, parallel to `intervals`: the
-    /// phase population count under SimPoint. Empty means all-unit
-    /// weights (the plain campaign case).
-    pub weights: Vec<u64>,
+    /// The sampled interval plan, each interval with its aggregation
+    /// weight: 1 for a plain campaign; under SimPoint, the representative
+    /// interval of each phase with the phase's population count,
+    /// ascending by start instruction.
+    pub intervals: Vec<(Interval, u64)>,
     /// The recorded replay trace, present only when the campaign sweeps
     /// the `trace` front end (shards built without it cannot serve
     /// trace-backed cells, which is why the shard-cache key carries the
@@ -367,7 +369,6 @@ impl Campaign {
     /// callbacks, cooperative cancellation, and a cross-job checkpoint-
     /// shard cache.
     pub fn run_with(&self, opts: &RunOptions<'_>) -> Result<RunSummary, String> {
-        let on_progress = opts.on_progress;
         let t0 = Instant::now();
         self.spec.validate()?;
         let frontends = self.spec.frontends();
@@ -435,7 +436,7 @@ impl Campaign {
                         .expect("every point's predictor was prepared");
                 let wd = &wds[shard];
                 for (f, frontend) in frontends.iter().enumerate() {
-                    for (i, &interval) in wd.intervals.iter().enumerate() {
+                    for &(interval, weight) in &wd.intervals {
                         total += 1;
                         let key = CellKey {
                             workload: wd.name.clone(),
@@ -451,7 +452,7 @@ impl Campaign {
                                 p,
                                 f,
                                 interval,
-                                weight: wd.weights.get(i).copied().unwrap_or(1),
+                                weight,
                             });
                         }
                     }
@@ -460,7 +461,7 @@ impl Campaign {
         }
         let skipped = total - pending.len() as u64;
 
-        // Phase 2: the cell work queue.
+        // Phase 2: every pending cell through the one parallel executor.
         let results_path = self.dir.join("cells.jsonl");
         let sink = std::fs::OpenOptions::new()
             .create(true)
@@ -468,18 +469,12 @@ impl Campaign {
             .open(&results_path)
             .map_err(|e| format!("cannot open {}: {e}", results_path.display()))?;
         let sink = Mutex::new(sink);
-        let new_results: Mutex<Vec<CellResult>> = Mutex::new(Vec::new());
-        let first_error: Mutex<Option<String>> = Mutex::new(None);
-        let next = AtomicUsize::new(0);
         let executed = AtomicU64::new(0);
         let done_count = AtomicU64::new(skipped);
         let wall_sum_ms = AtomicU64::new(0);
         let committed_sum = AtomicU64::new(0);
         let stop = AtomicBool::new(false);
         let budget = self.spec.max_cells.unwrap_or(u64::MAX);
-        let points = &self.spec.points;
-        let wds_ref = &wds;
-        let window = self.spec.window;
         // One writer at a time keeps the temp-file dance race-free;
         // heartbeats are advisory, so their IO errors never stop a run.
         let heartbeat = Mutex::new(String::new());
@@ -510,101 +505,72 @@ impl Campaign {
             );
         };
 
-        let cancel = opts.cancel;
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(pending.len().max(1)) {
-                scope.spawn(|| loop {
-                    // A cancel drains like `max_cells`: in-flight cells
-                    // finish and are persisted; nothing new is claimed.
-                    if stop.load(Ordering::SeqCst)
-                        || cancel.is_some_and(|c| c.load(Ordering::SeqCst))
-                    {
-                        break;
-                    }
-                    // Claim an execution slot against the cell budget
-                    // before claiming a cell, so `max_cells` is exact.
-                    if executed.fetch_add(1, Ordering::SeqCst) >= budget {
-                        executed.fetch_sub(1, Ordering::SeqCst);
-                        stop.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= pending.len() {
-                        executed.fetch_sub(1, Ordering::SeqCst);
-                        break;
-                    }
-                    let cell = &pending[i];
-                    match run_cell(
-                        &wds_ref[cell.w],
-                        &points[cell.p],
-                        &frontends[cell.f],
-                        cell.interval,
-                        cell.weight,
-                        window,
-                    ) {
-                        Ok(res) => {
-                            let line = serde::json::to_string(&res);
-                            {
-                                let mut f = sink.lock().expect("a cell worker panicked");
-                                let io = writeln!(f, "{line}").and_then(|_| f.flush());
-                                if let Err(e) = io {
-                                    *first_error.lock().expect("a cell worker panicked") =
-                                        Some(format!("cannot append cell result: {e}"));
-                                    stop.store(true, Ordering::SeqCst);
-                                    break;
-                                }
-                            }
-                            let fingerprint = res.key().to_string();
-                            wall_sum_ms.fetch_add(res.wall_ms, Ordering::SeqCst);
-                            committed_sum.fetch_add(res.stats.committed, Ordering::SeqCst);
-                            new_results
-                                .lock()
-                                .expect("a cell worker panicked")
-                                .push(res);
-                            let d = done_count.fetch_add(1, Ordering::SeqCst) + 1;
-                            let mut last = heartbeat.lock().expect("a cell worker panicked");
-                            *last = fingerprint;
-                            if d.is_multiple_of(HEARTBEAT_EVERY_CELLS) {
-                                beat(&last);
-                            }
-                            drop(last);
-                            if let Some(cb) = on_progress {
-                                let ex = executed.load(Ordering::SeqCst).min(budget);
-                                cb(&ProgressSnapshot {
-                                    done: d,
-                                    total,
-                                    executed: ex,
-                                    elapsed_ms: t0.elapsed().as_millis() as u64,
-                                    eta_ms: eta_ms(
-                                        wall_sum_ms.load(Ordering::SeqCst),
-                                        ex,
-                                        total - d,
-                                        threads,
-                                    ),
-                                });
-                            }
-                        }
-                        Err(e) => {
-                            first_error
-                                .lock()
-                                .expect("a cell worker panicked")
-                                .get_or_insert(e);
-                            stop.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    }
+        let outcomes = parallel_map(&pending, threads, |cell| {
+            // A cancel drains like `max_cells`: in-flight cells finish and
+            // are persisted; nothing new is started.
+            if stop.load(Ordering::SeqCst) || opts.cancel.is_some_and(|c| c.load(Ordering::SeqCst))
+            {
+                return None;
+            }
+            // Claim an execution slot against the cell budget before
+            // running the cell, so `max_cells` is exact.
+            if executed.fetch_add(1, Ordering::SeqCst) >= budget {
+                executed.fetch_sub(1, Ordering::SeqCst);
+                stop.store(true, Ordering::SeqCst);
+                return None;
+            }
+            let persisted = run_cell(
+                &wds[cell.w],
+                &self.spec.points[cell.p],
+                &frontends[cell.f],
+                cell.interval,
+                cell.weight,
+                self.spec.window,
+            )
+            .and_then(|res| {
+                let mut f = sink.lock().expect("a cell worker panicked");
+                writeln!(f, "{}", serde::json::to_string(&res))
+                    .and_then(|_| f.flush())
+                    .map_err(|e| format!("cannot append cell result: {e}"))?;
+                Ok(res)
+            });
+            let res = match persisted {
+                Ok(res) => res,
+                Err(e) => {
+                    stop.store(true, Ordering::SeqCst);
+                    return Some(Err(e));
+                }
+            };
+            wall_sum_ms.fetch_add(res.wall_ms, Ordering::SeqCst);
+            committed_sum.fetch_add(res.stats.committed, Ordering::SeqCst);
+            let d = done_count.fetch_add(1, Ordering::SeqCst) + 1;
+            let mut last = heartbeat.lock().expect("a cell worker panicked");
+            *last = res.key().to_string();
+            if d.is_multiple_of(HEARTBEAT_EVERY_CELLS) {
+                beat(&last);
+            }
+            drop(last);
+            if let Some(cb) = opts.on_progress {
+                let ex = executed.load(Ordering::SeqCst).min(budget);
+                cb(&ProgressSnapshot {
+                    done: d,
+                    total,
+                    executed: ex,
+                    elapsed_ms: t0.elapsed().as_millis() as u64,
+                    eta_ms: eta_ms(wall_sum_ms.load(Ordering::SeqCst), ex, total - d, threads),
                 });
             }
+            Some(Ok(res))
         });
 
         // Final heartbeat so `progress.json` reflects the end state even
         // when the cell count never hit the heartbeat interval.
         beat(&heartbeat.into_inner().expect("a cell worker panicked"));
 
-        if let Some(e) = first_error.into_inner().expect("a cell worker panicked") {
-            return Err(e);
-        }
-        let new = new_results.into_inner().expect("a cell worker panicked");
+        let new = outcomes
+            .into_iter()
+            .flatten()
+            .collect::<Result<Vec<_>, _>>()?;
         let executed = new.len() as u64;
         let interrupted = executed + skipped < total;
         let mut results = prior;
@@ -852,7 +818,7 @@ fn prepare_workload(
     // The cache substrate is machine-independent (Table 2 geometry is
     // shared by every evaluated model), so these checkpoints serve all
     // (machine, latency) points that share the predictor spec.
-    let (set, intervals, weights) = match key.simpoint {
+    let (set, intervals) = match key.simpoint {
         None => {
             let set = capture_interval_checkpoints(
                 &binary.program,
@@ -863,9 +829,12 @@ fn prepare_workload(
                 sample.stride,
                 MAX_FUNCTIONAL_INSTS,
             )?;
-            let intervals = plan_intervals(set.total_insts, sample);
+            let intervals: Vec<(Interval, u64)> = plan_intervals(set.total_insts, sample)
+                .into_iter()
+                .map(|iv| (iv, 1))
+                .collect();
             debug_assert_eq!(intervals.len(), set.checkpoints.len());
-            (set, intervals, Vec::new())
+            (set, intervals)
         }
         Some(sp) => {
             // Pass A (functional only, no warming): slice the committed
@@ -886,27 +855,8 @@ fn prepare_workload(
                 ..Default::default()
             };
             let clustering = spear_simpoint::cluster(&matrix, &cfg);
-            // One representative interval per phase, carrying the phase's
-            // population count as its aggregation weight; ascending by
-            // start instruction so pass B captures in stream order.
-            let mut reps: Vec<(Interval, u64)> = clustering
-                .representatives
-                .iter()
-                .zip(&clustering.counts)
-                .map(|(&r, &count)| {
-                    let b = &bbvs[r];
-                    (
-                        Interval {
-                            index: b.index,
-                            start_inst: b.start_inst,
-                            len: b.len,
-                        },
-                        count,
-                    )
-                })
-                .collect();
-            reps.sort_by_key(|(iv, _)| iv.start_inst);
-            let boundaries: Vec<u64> = reps.iter().map(|(iv, _)| iv.start_inst).collect();
+            let plan = simpoint_plan(&bbvs, &clustering);
+            let boundaries: Vec<u64> = plan.iter().map(|(iv, _)| iv.start_inst).collect();
             // Pass B: one warming pass over the whole stream, capturing a
             // checkpoint only at each representative's start boundary.
             let set = capture_checkpoints_at(
@@ -924,8 +874,7 @@ fn prepare_workload(
                     set.total_insts
                 ));
             }
-            let (intervals, weights) = reps.into_iter().unzip();
-            (set, intervals, weights)
+            (set, plan)
         }
     };
     let trace = if key.trace {
@@ -943,7 +892,6 @@ fn prepare_workload(
         binary,
         set,
         intervals,
-        weights,
         trace,
     })
 }

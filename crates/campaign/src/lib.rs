@@ -21,8 +21,8 @@
 //! The [`spec`] module is the one place that knows what a campaign is:
 //! the wire-form [`JobSpec`], the runnable [`CampaignSpec`] and its single
 //! validator, and the typed [`CellKey`] / [`ShardKey`]. The [`engine`]
-//! module turns the resulting (workload, machine, predictor, front end,
-//! latency, interval) cells into a crash-safe parallel work queue: each
+//! module runs the resulting (workload, machine, predictor, front end,
+//! latency, interval) cells in parallel and crash-safe: each
 //! finished cell is flushed to an append-only `cells.jsonl` in the
 //! campaign directory, and a restarted campaign skips everything already
 //! on disk. Aggregation sorts cells by their full key before merging, so
@@ -46,7 +46,7 @@ pub use engine::{
     CellResult, HeartbeatDoc, ProgressSnapshot, RunOptions, RunSummary, WorkloadData,
     WorkloadTiming,
 };
-pub use sample::{aggregate, plan_intervals, Aggregate, Interval, SampleSpec};
+pub use sample::{aggregate, plan_intervals, simpoint_plan, Aggregate, Interval, SampleSpec};
 pub use spec::{
     CampaignSpec, CellKey, JobSpec, MachinePoint, ShardKey, SimpointSpec, CELL_SCHEMA_VERSION,
 };

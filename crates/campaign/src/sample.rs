@@ -16,6 +16,8 @@
 use crate::engine::CellResult;
 use crate::spec::CellKey;
 use spear_cpu::{CoreStats, RunExit};
+use spear_exec::BbvInterval;
+use spear_simpoint::Clustering;
 
 /// How to sample a workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,6 +38,14 @@ impl SampleSpec {
             stride: 1,
         }
     }
+
+    /// Does instruction `inst` start a sampled interval? Boundaries are
+    /// multiples of `interval_len`, and interval `k` is sampled when
+    /// `k % stride == 0`.
+    pub fn starts_sampled_interval(&self, inst: u64) -> bool {
+        inst.is_multiple_of(self.interval_len)
+            && (inst / self.interval_len).is_multiple_of(self.stride)
+    }
 }
 
 /// One sampled interval of a workload.
@@ -53,22 +63,38 @@ pub struct Interval {
 pub fn plan_intervals(total_insts: u64, spec: &SampleSpec) -> Vec<Interval> {
     assert!(spec.interval_len > 0, "interval length must be nonzero");
     assert!(spec.stride > 0, "stride must be nonzero");
-    let mut out = Vec::new();
-    let mut index = 0;
-    let mut start = 0;
-    while start < total_insts {
-        let len = spec.interval_len.min(total_insts - start);
-        if index % spec.stride == 0 {
-            out.push(Interval {
-                index,
-                start_inst: start,
-                len,
-            });
-        }
-        index += 1;
-        start += spec.interval_len;
-    }
-    out
+    (0..total_insts)
+        .step_by(spec.interval_len as usize)
+        .filter(|&start| spec.starts_sampled_interval(start))
+        .map(|start| Interval {
+            index: start / spec.interval_len,
+            start_inst: start,
+            len: spec.interval_len.min(total_insts - start),
+        })
+        .collect()
+}
+
+/// The SimPoint plan of a clustered workload: one representative interval
+/// per phase, carrying the phase's population count as its aggregation
+/// weight, ascending by start instruction (the order a warming pass
+/// captures checkpoints in).
+pub fn simpoint_plan(bbvs: &[BbvInterval], clustering: &Clustering) -> Vec<(Interval, u64)> {
+    let mut plan: Vec<(Interval, u64)> = clustering
+        .representatives
+        .iter()
+        .zip(&clustering.counts)
+        .map(|(&r, &count)| {
+            let b = &bbvs[r];
+            let interval = Interval {
+                index: b.index,
+                start_inst: b.start_inst,
+                len: b.len,
+            };
+            (interval, count)
+        })
+        .collect();
+    plan.sort_by_key(|(iv, _)| iv.start_inst);
+    plan
 }
 
 /// The weighted aggregate of one (workload, machine, predictor,

@@ -194,34 +194,6 @@ pub fn run_matrix_campaign(
     })
 }
 
-/// Parse the `SPEAR_SAMPLED` environment flag that routes figure sweeps
-/// through the sampled path: `INTERVAL` or `INTERVAL:STRIDE` (e.g.
-/// `100000:10` = simulate every 10th 100k-instruction interval). Unset,
-/// empty, or malformed values mean "run the full simulation".
-pub fn sample_spec_from_env() -> Option<SampleSpec> {
-    let raw = std::env::var("SPEAR_SAMPLED").ok()?;
-    parse_sample_spec(&raw)
-}
-
-/// The parsing behind [`sample_spec_from_env`], separated for testing.
-pub fn parse_sample_spec(raw: &str) -> Option<SampleSpec> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return None;
-    }
-    let (ival, stride) = match raw.split_once(':') {
-        Some((i, s)) => (i.parse().ok()?, s.parse().ok()?),
-        None => (raw.parse().ok()?, 1),
-    };
-    if ival == 0 || stride == 0 {
-        return None;
-    }
-    Some(SampleSpec {
-        interval_len: ival,
-        stride,
-    })
-}
-
 /// **Figure 7** — adds the dedicated-functional-unit models.
 pub fn fig7(compiled: &Compiled) -> IpcMatrix {
     run_matrix(compiled, &Machine::ALL)
@@ -462,28 +434,6 @@ mod tests {
         // ...and the column mean stays finite despite the dead row.
         assert!(m.mean_normalized(1).is_finite());
         assert!((m.mean_normalized(1) - 1.0).abs() < 1e-9, "(2.0 + 0.0) / 2");
-    }
-
-    #[test]
-    fn sample_spec_parsing() {
-        use spear_campaign::SampleSpec;
-        assert_eq!(
-            parse_sample_spec("100000"),
-            Some(SampleSpec {
-                interval_len: 100_000,
-                stride: 1
-            })
-        );
-        assert_eq!(
-            parse_sample_spec(" 50000:10 "),
-            Some(SampleSpec {
-                interval_len: 50_000,
-                stride: 10
-            })
-        );
-        for bad in ["", "0", "10:0", "abc", "10:xyz", "1:2:3"] {
-            assert_eq!(parse_sample_spec(bad), None, "`{bad}` must be rejected");
-        }
     }
 
     #[test]

@@ -58,34 +58,15 @@ pub fn run_one(
     machine: Machine,
     latency: Option<LatencyConfig>,
 ) -> RunOutcome {
-    let program = w.eval_program();
-    let binary = if machine.is_spear() {
-        SpearCompiler::attach(program, table.clone())
-    } else {
-        SpearBinary::plain(program)
-    };
-    let cfg = machine.config(latency);
-    let mut core = Core::new(&binary, cfg);
-    let res = core
-        .run(MAX_CYCLES, MAX_INSTS)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, machine));
-    assert_eq!(
-        res.exit,
-        RunExit::Halted,
-        "{} on {} did not halt within the cycle budget",
-        w.name,
-        machine
-    );
     RunOutcome {
-        workload: w.name.to_string(),
-        machine,
         latency,
-        stats: res.stats,
+        ..run_custom(w, table, machine.config(latency), machine)
     }
 }
 
 /// Simulate one workload under an arbitrary configuration (ablations).
-/// The `machine` field of the outcome records the nearest standard model.
+/// The p-thread table is attached only when `cfg` has a SPEAR unit. The
+/// `machine` field of the outcome records the nearest standard model.
 pub fn run_custom(
     w: &Workload,
     table: &PThreadTable,
@@ -101,8 +82,14 @@ pub fn run_custom(
     let mut core = Core::new(&binary, cfg);
     let res = core
         .run(MAX_CYCLES, MAX_INSTS)
-        .unwrap_or_else(|e| panic!("{} (custom cfg): {e}", w.name));
-    assert_eq!(res.exit, RunExit::Halted, "{} did not halt", w.name);
+        .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, machine));
+    assert_eq!(
+        res.exit,
+        RunExit::Halted,
+        "{} on {} did not halt within the cycle budget",
+        w.name,
+        machine
+    );
     RunOutcome {
         workload: w.name.to_string(),
         machine,
@@ -115,6 +102,15 @@ pub fn run_custom(
 mod tests {
     use super::*;
     use spear_workloads::by_name;
+
+    #[test]
+    fn spear_machines_are_exactly_the_configs_with_a_spear_unit() {
+        // `run_one` delegates to `run_custom`, which attaches the table
+        // by config rather than by machine; the two must agree.
+        for m in Machine::ALL {
+            assert_eq!(m.is_spear(), m.config(None).spear.is_some(), "{m}");
+        }
+    }
 
     #[test]
     fn compile_and_run_field_fast() {

@@ -181,26 +181,49 @@ fn record_without_trace_out_is_a_usage_error() {
 /// Every output path is opened before any simulation time is spent: a
 /// path in a missing directory exits with the runtime code, names the
 /// path, and prints no results. Where a run can carry a JSONL witness
-/// (`--trace-file`), the witness must stay empty: not one cycle ran.
+/// (`--trace-file`), the witness must stay empty: not one cycle ran. The
+/// directory-rooted commands, `campaign --dir` and `serve --dir`, fail
+/// the same way before simulating or binding when the directory cannot
+/// be created (it lies under a regular file, which even a root user
+/// cannot get past), leaving no `cells.jsonl` or `server.addr` behind.
 #[test]
 fn unwritable_output_paths_fail_before_simulating() {
     let bad = "/nonexistent-dir/out";
     let witness = temp_path("witness.jsonl");
     let w = witness.to_str().unwrap();
+    let blocker = temp_path("dir-blocker");
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let bad_dir = blocker.join("sub");
+    let d = bad_dir.to_str().unwrap();
     let sim = ["workload:field", "--max-insts", "20000", "--trace-file", w];
-    let cases: [(&[&str], &[&str]); 5] = [
+    let campaign = [
+        "campaign",
+        "--workloads",
+        "field",
+        "--machines",
+        "baseline",
+        "--interval",
+        "25000",
+        "--quiet",
+    ];
+    let serve = ["serve", "--addr", "127.0.0.1:0", "--workers", "1"];
+    let cases: [(&[&str], &[&str]); 7] = [
         (&sim, &["--stats-json", bad]),
         (&sim, &["--pipeview", bad]),
         (&sim, &["--perfetto", bad]),
         (&["workload:field"], &["--trace-file", bad]),
         (&["record", "workload:field"], &["--trace-out", bad]),
+        (&campaign, &["--dir", d]),
+        (&serve, &["--dir", d]),
     ];
     for (base, flag) in cases {
         let _ = std::fs::remove_file(&witness);
         let args = [base, flag].concat();
+        let path = flag[1];
         let (code, stdout, stderr) = run(&args);
         assert_eq!(code, 3, "{args:?}: runtime exit code, got {code}: {stderr}");
-        assert!(stderr.contains(bad), "{args:?}: names the path: {stderr}");
+        assert!(stderr.contains("cannot create"), "{args:?}: {stderr}");
+        assert!(stderr.contains(path), "{args:?}: names the path: {stderr}");
         assert!(
             !stdout.lines().any(|l| l.starts_with("cycles")),
             "{args:?}: no results printed: {stdout}"
@@ -211,6 +234,11 @@ fn unwritable_output_paths_fail_before_simulating() {
         );
         let streamed = std::fs::metadata(&witness).map_or(0, |m| m.len());
         assert_eq!(streamed, 0, "{args:?}: failed before simulating");
+        for output in ["cells.jsonl", "server.addr"] {
+            let p = std::path::Path::new(path).join(output);
+            assert!(!p.exists(), "{args:?}: wrote {}", p.display());
+        }
     }
     let _ = std::fs::remove_file(&witness);
+    let _ = std::fs::remove_file(&blocker);
 }

@@ -23,7 +23,9 @@
 //! change can promote it.
 
 use crate::gen::ProgramSpec;
-use spear_campaign::{capture_checkpoints_at, capture_interval_checkpoints, Checkpoint, Warmer};
+use spear_campaign::{
+    capture_checkpoints_at, capture_interval_checkpoints, simpoint_plan, Checkpoint, Warmer,
+};
 use spear_compiler::{CompilerConfig, SpearCompiler};
 use spear_cpu::{Core, CoreConfig, CoreStats, RunExit, TraceSource};
 use spear_exec::{Interp, Memory, RegFile};
@@ -551,8 +553,9 @@ fn check_sampled_vs_full(
 }
 
 /// SimPoint oracle over the whole phase-clustering pipeline: collect
-/// per-interval BBVs from the golden interpreter, cluster them, capture
-/// warm checkpoints at the representative boundaries, simulate one
+/// per-interval BBVs from the golden interpreter, cluster them, turn the
+/// clustering into the campaign engine's own plan ([`simpoint_plan`]),
+/// capture warm checkpoints at the representative boundaries, simulate one
 /// representative per phase, and blend the statistics by phase
 /// population. Checks the structural contract end to end — BBVs tile the
 /// dynamic stream exactly, clustering is deterministic with every
@@ -635,31 +638,25 @@ fn check_simpoint_vs_full(
 
     // Pass B: warm checkpoints at the representative boundaries, then
     // one weighted cycle-level run per phase.
-    let mut reps: Vec<(u64, u64, u64)> = clustering
-        .representatives
-        .iter()
-        .zip(&clustering.counts)
-        .map(|(&r, &c)| (bbvs[r].start_inst, bbvs[r].len, c))
-        .collect();
-    reps.sort_unstable();
-    let boundaries: Vec<u64> = reps.iter().map(|&(s, _, _)| s).collect();
+    let plan = simpoint_plan(&bbvs, &clustering);
+    let boundaries: Vec<u64> = plan.iter().map(|(iv, _)| iv.start_inst).collect();
     let set = capture_checkpoints_at(p, "fuzz", cfg.hier, cfg.bpred, &boundaries, GOLDEN_BUDGET)
         .map_err(|e| fail("simpoint", e))?;
-    if set.total_insts != total || set.checkpoints.len() != reps.len() {
+    if set.total_insts != total || set.checkpoints.len() != plan.len() {
         return Err(fail(
             "simpoint",
             format!(
                 "warming pass saw {} instructions / {} checkpoints, wanted {total} / {}",
                 set.total_insts,
                 set.checkpoints.len(),
-                reps.len()
+                plan.len()
             ),
         ));
     }
     let overshoot = cfg.commit_width as u64 - 1;
     let mut blended = CoreStats::default();
     let mut blended_committed = 0u64;
-    for (cp, &(start, len, weight)) in set.checkpoints.iter().zip(&reps) {
+    for (cp, &(iv, weight)) in set.checkpoints.iter().zip(&plan) {
         let mut core = Core::new(binary, cfg.clone());
         cp.restore_into(&mut core)
             .map_err(|e| fail("checkpoint", e))?;
@@ -667,8 +664,8 @@ fn check_simpoint_vs_full(
             .run(CYCLE_BUDGET, interval)
             .map_err(|e| fail("sim-error", e.to_string()))?;
         let committed = res.stats.committed;
-        let ok = if len < interval {
-            res.exit == RunExit::Halted && committed == len
+        let ok = if iv.len < interval {
+            res.exit == RunExit::Halted && committed == iv.len
         } else {
             (interval..=interval + overshoot).contains(&committed)
         };
@@ -676,8 +673,8 @@ fn check_simpoint_vs_full(
             return Err(fail(
                 "simpoint",
                 format!(
-                    "representative at {start} (len {len}) retired {committed} (exit {:?})",
-                    res.exit
+                    "representative at {} (len {}) retired {committed} (exit {:?})",
+                    iv.start_inst, iv.len, res.exit
                 ),
             ));
         }

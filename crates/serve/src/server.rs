@@ -30,6 +30,7 @@ use serde::{Serialize, Value};
 use spear_campaign::{
     Campaign, HeartbeatDoc, JobSpec, ProgressSnapshot, RunOptions, ShardCache, TraceCache,
 };
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -255,33 +256,62 @@ impl Server {
 
 /// The single job runner: FIFO over the bounded queue, one campaign at
 /// a time, each campaign using the server's full worker count.
+///
+/// A job paused by its `max_cells` budget goes around again behind the
+/// jobs queued when it paused. It waits in a runner-local list, never in
+/// the channel: the runner is the channel's only consumer, so a blocking
+/// send from here would deadlock on a full queue, and a failed `try_send`
+/// would strand the job.
 fn runner_loop(state: &State, rx: &Receiver<String>) {
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match rx.recv_timeout(RUNNER_POLL) {
-            Ok(id) => {
-                state.queued.fetch_sub(1, Ordering::SeqCst);
-                run_one(state, &id)
+    // Paused jobs, oldest first, each with the number of channel jobs
+    // still ahead of it.
+    let mut paused: VecDeque<(String, usize)> = VecDeque::new();
+    while !state.shutdown.load(Ordering::SeqCst) {
+        let received = match paused.front() {
+            None => match rx.recv_timeout(RUNNER_POLL) {
+                Ok(id) => Some(id),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return,
+            },
+            // An empty channel means nothing is ahead after all (the
+            // count may include a submission that was then refused).
+            Some(&(_, ahead)) if ahead > 0 => rx.try_recv().ok(),
+            Some(_) => None,
+        };
+        let id = match received {
+            Some(id) => {
+                for (_, ahead) in paused.iter_mut() {
+                    *ahead = ahead.saturating_sub(1);
+                }
+                id
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            None => paused.pop_front().expect("a paused job is due").0,
+        };
+        state.queued.fetch_sub(1, Ordering::SeqCst);
+        if run_one(state, &id) {
+            let ahead = state
+                .queued
+                .load(Ordering::SeqCst)
+                .saturating_sub(paused.len());
+            state.queued.fetch_add(1, Ordering::SeqCst);
+            paused.push_back((id, ahead));
         }
     }
 }
 
 /// Execute one job end to end and persist its terminal marker (or lack
-/// of one, which is what makes an interrupted job resumable).
-fn run_one(state: &State, id: &str) {
+/// of one, which is what makes an interrupted job resumable). Returns
+/// true when the job paused on its `max_cells` budget mid-session and
+/// should run again.
+fn run_one(state: &State, id: &str) -> bool {
     let (spec, cancel) = {
         let mut reg = state.registry();
         let Some(job) = State::find(&mut reg, id) else {
-            return;
+            return false;
         };
         if job.state != JobState::Queued {
             // Cancelled while queued (or a stale re-enqueue).
-            return;
+            return false;
         }
         job.state = JobState::Running;
         (job.spec.clone(), job.cancel.clone())
@@ -303,6 +333,7 @@ fn run_one(state: &State, id: &str) {
             &serde::json::to_string(&ErrorDoc { error: e.clone() }),
         );
         finish(JobState::Failed, Some(e));
+        false
     };
 
     let resolved = match spec.resolve(state.workers) {
@@ -333,8 +364,11 @@ fn run_one(state: &State, id: &str) {
     };
 
     if !summary.interrupted {
-        match spear_campaign::write_aggregate_envelopes(&cdir, &summary.results, envelope_simpoint)
-        {
+        return match spear_campaign::write_aggregate_envelopes(
+            &cdir,
+            &summary.results,
+            envelope_simpoint,
+        ) {
             Ok(files) => {
                 let names: Vec<String> = files
                     .iter()
@@ -351,10 +385,10 @@ fn run_one(state: &State, id: &str) {
                     }),
                 );
                 finish(JobState::Done, None);
+                false
             }
             Err(e) => fail(e),
-        }
-        return;
+        };
     }
     let user_cancelled = {
         let mut reg = state.registry();
@@ -363,16 +397,14 @@ fn run_one(state: &State, id: &str) {
     if user_cancelled {
         let _ = jobs::write_marker(&state.root, id, "cancelled.json", "{}\n");
         finish(JobState::Cancelled, None);
-    } else {
-        // Interrupted by shutdown or a max_cells budget: no marker, so
-        // the job resumes on the next server start.
-        finish(JobState::Queued, None);
-        if !state.shutdown.load(Ordering::SeqCst) {
-            // A max_cells pause mid-session: go around again so the job
-            // keeps making progress in bounded bursts.
-            let _ = state.try_enqueue(id.to_string());
-        }
+        return false;
     }
+    // Interrupted by shutdown or a max_cells budget: no marker, so the
+    // job resumes on the next server start. A max_cells pause mid-session
+    // goes around again, so the job keeps making progress in bounded
+    // bursts.
+    finish(JobState::Queued, None);
+    !state.shutdown.load(Ordering::SeqCst)
 }
 
 #[derive(Serialize)]

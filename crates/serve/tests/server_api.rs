@@ -203,6 +203,33 @@ fn bounded_queue_backpressure_and_cancel() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A job paused by its `max_cells` budget goes around again even when
+/// the queue filled up while it ran: it resumes behind the queued job
+/// instead of being dropped and left `queued` forever.
+#[test]
+fn max_cells_job_resumes_behind_a_full_queue() {
+    let (addr, root, handle) = start("paused-full-queue", 1);
+
+    // A: runs in bursts of 8 cells.
+    let spec = big_spec().replacen('{', "{\"max_cells\":8,", 1);
+    let (status, body) = submit(&addr, &spec);
+    assert_eq!(status, 201, "{body}");
+    let a = field_str(&body, "id").unwrap();
+    wait_for_state(&addr, &a, "running", Duration::from_secs(60));
+
+    // B: fills the queue (capacity 1) while A runs its burst.
+    let (status, body) = submit(&addr, &small_spec());
+    assert_eq!(status, 201, "{body}");
+    let b = field_str(&body, "id").unwrap();
+
+    wait_for_state(&addr, &b, "done", Duration::from_secs(120));
+    wait_for_state(&addr, &a, "done", Duration::from_secs(120));
+    assert!(root.join("jobs").join(&a).join("done.json").exists());
+
+    shutdown(&addr, handle);
+    let _ = std::fs::remove_dir_all(root);
+}
+
 #[test]
 fn invalid_specs_are_rejected_with_400() {
     let (addr, root, handle) = start("badspec", 4);
