@@ -1,7 +1,8 @@
 //! Crash-safe resume, end to end through the real binary: a campaign
 //! server is SIGKILLed mid-job, restarted on the same root, and the
 //! final aggregates must be byte-identical to an uninterrupted
-//! `spear-sim campaign` run of the same grid.
+//! `spear-sim campaign` run of the same grid. A SIGTERMed server must
+//! drain to exit 0 and leave its job resumable.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -178,6 +179,58 @@ fn sigkilled_server_resumes_and_matches_uninterrupted_cli_run() {
     assert_eq!(status.code(), Some(0), "graceful shutdown must exit 0");
 
     let _ = std::fs::remove_dir_all(ref_dir);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// SIGTERM drains: the running job is cancelled cooperatively, the
+/// server exits 0 and withdraws its address, and the job is left
+/// without a terminal marker so the next start resumes it.
+#[test]
+fn sigterm_drains_and_leaves_the_job_resumable() {
+    let root = temp_dir("sigterm");
+    let mut server = start_server(&root);
+    wait_for_addr(&root);
+    let (code, body) = client(
+        &root,
+        &[
+            "submit",
+            "--spec",
+            "{\"workloads\":[\"pointer\",\"update\"],\
+             \"machines\":[\"baseline\",\"spear-128\",\"spear-256\"],\
+             \"interval\":20000,\"stride\":1}",
+        ],
+    );
+    assert_eq!(code, 0, "submit failed: {body}");
+
+    let cells = root.join("jobs/job-0001/campaign/cells.jsonl");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while read_lines(&cells) < 1 {
+        assert!(Instant::now() < deadline, "server never executed a cell");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let status = Command::new("kill")
+        .args(["-TERM", &server.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -TERM failed");
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.try_wait().expect("try_wait") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "server did not drain on SIGTERM");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(0), "a SIGTERM drain must exit 0");
+    assert!(
+        !root.join("server.addr").exists(),
+        "server.addr must be removed"
+    );
+    assert!(
+        !root.join("jobs/job-0001/done.json").exists(),
+        "a drained job must stay resumable"
+    );
     let _ = std::fs::remove_dir_all(root);
 }
 

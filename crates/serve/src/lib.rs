@@ -2,8 +2,10 @@
 //!
 //! A resident, sharded simulation server: sweep campaigns are submitted
 //! as JSON jobs over a localhost HTTP/1.1 control plane, queued in a
-//! bounded FIFO, and executed one at a time through the ordinary
-//! [`spear_campaign::Campaign`] machinery with all worker threads.
+//! bounded FIFO that shares one lock with the job registry, and executed
+//! one at a time through the ordinary [`spear_campaign::Campaign`]
+//! machinery with all worker threads. Threads block on `accept` and on
+//! a condvar; nothing on the request or job paths waits on a timer.
 //! Warm per-workload state (compiled binary + functional-pass
 //! checkpoints) is shared across jobs through the campaign crate's
 //! [`spear_campaign::ShardCache`], so ten jobs over the same workloads

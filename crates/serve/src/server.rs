@@ -10,8 +10,15 @@
 //!   written by [`spear_campaign::write_aggregate_envelopes`] — the
 //!   same function the CLI uses, which makes server and CLI output
 //!   byte-identical by construction.
-//! * **The queue is bounded.** `POST /jobs` uses `try_send`; a full
-//!   queue is an HTTP 429, not unbounded memory growth.
+//! * **One queue, under the registry lock.** The job list and the FIFO
+//!   of queued ids share one `Mutex`, and the runner waits on the
+//!   `Condvar` beside it. `POST /jobs` answers 429 when the queue holds
+//!   `queue_cap` ids, before anything is written to disk, so a full
+//!   queue is backpressure, not unbounded memory growth.
+//! * **Nothing polls on the request or job paths.** The accept loop
+//!   blocks in `accept` and the runner in `Condvar::wait`; shutdown
+//!   wakes both. Only the signal watcher ticks, because a signal
+//!   handler may do no more than set a flag.
 //! * **Crash safety is the store's job.** The server never needs a
 //!   clean shutdown to be correct: job state lives in marker files
 //!   (see [`crate::jobs`]) and cell results in the campaign's
@@ -34,17 +41,12 @@ use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How the accept loop polls for shutdown while the listener is
-/// nonblocking.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// How often the runner re-checks for shutdown while the queue is idle.
-const RUNNER_POLL: Duration = Duration::from_millis(100);
+/// How often the signal watcher looks at [`SIGNALLED`].
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
 
 /// Server configuration (the `spear-sim serve` flags).
 #[derive(Clone, Debug)]
@@ -74,7 +76,8 @@ impl ServeConfig {
     }
 }
 
-/// Set by the SIGTERM/SIGINT handler; polled by every accept loop.
+/// Set by the SIGTERM/SIGINT handler; polled by every server's signal
+/// watcher.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 /// Install process-wide SIGTERM/SIGINT handlers that request a
@@ -97,15 +100,24 @@ pub fn install_signal_handlers() {
     }
 }
 
+/// Everything the registry lock guards.
+struct Registry {
+    /// Every known job, in submission order.
+    jobs: Vec<Job>,
+    /// Ids of the `Queued` jobs, in the order the runner takes them.
+    /// Its length is the queue depth that `queue_cap` bounds.
+    queue: VecDeque<String>,
+}
+
 struct State {
     root: PathBuf,
+    local_addr: SocketAddr,
     workers: usize,
     queue_cap: usize,
     shutdown: AtomicBool,
-    registry: Mutex<Vec<Job>>,
-    tx: SyncSender<String>,
-    /// Jobs offered to the queue and not yet taken by the runner.
-    queued: AtomicUsize,
+    registry: Mutex<Registry>,
+    /// Signalled when `registry.queue` gains an id or shutdown begins.
+    wake: Condvar,
     cache: ShardCache,
     traces: TraceCache,
     started: Instant,
@@ -115,45 +127,43 @@ struct State {
 }
 
 impl State {
-    fn find<'a>(reg: &'a mut [Job], id: &str) -> Option<&'a mut Job> {
-        reg.iter_mut().find(|j| j.id == id)
+    fn find<'a>(jobs: &'a mut [Job], id: &str) -> Option<&'a mut Job> {
+        jobs.iter_mut().find(|j| j.id == id)
     }
 
     /// The job registry. A panic elsewhere while holding the lock leaves
     /// the registry usable: job state is re-derived from disk anyway.
-    fn registry(&self) -> MutexGuard<'_, Vec<Job>> {
+    fn registry(&self) -> MutexGuard<'_, Registry> {
         self.registry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Offer a job to the bounded queue without blocking.
-    fn try_enqueue(&self, id: String) -> Result<(), TrySendError<String>> {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.tx.try_send(id).inspect_err(|_| {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-        })
-    }
-
-    /// Request a graceful drain: stop accepting, cancel the running
-    /// campaign (queued jobs simply stay queued on disk).
+    /// Request a graceful drain (idempotent): cancel the running
+    /// campaign, wake the runner so it exits once that campaign
+    /// returns, and wake the accept loop with a connection to itself.
+    /// Queued jobs simply stay queued on disk.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for job in self.registry().iter() {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for job in self.registry().jobs.iter() {
             job.cancel.store(true, Ordering::SeqCst);
         }
+        self.wake.notify_all();
+        let _ = TcpStream::connect(self.local_addr);
     }
 }
 
 /// A bound, not-yet-running campaign server.
 pub struct Server {
     listener: TcpListener,
-    local_addr: SocketAddr,
     state: Arc<State>,
-    rx: Receiver<String>,
 }
 
 impl Server {
-    /// Bind the listener, rescan the job store, and advertise the
-    /// actual address in `<root>/server.addr`.
+    /// Bind the listener, rescan the job store, queue its unfinished
+    /// jobs oldest first, and advertise the actual address in
+    /// `<root>/server.addr`. The restart backlog may exceed the queue
+    /// capacity; new submissions then get 429 until it drains.
     pub fn bind(cfg: &ServeConfig) -> Result<Server, String> {
         std::fs::create_dir_all(cfg.root.join("jobs"))
             .map_err(|e| format!("cannot create {}: {e}", cfg.root.join("jobs").display()))?;
@@ -162,26 +172,26 @@ impl Server {
         let local_addr = listener
             .local_addr()
             .map_err(|e| format!("cannot read local addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking: {e}"))?;
         let addr_file = cfg.root.join("server.addr");
         std::fs::write(&addr_file, format!("{local_addr}\n"))
             .map_err(|e| format!("cannot write {}: {e}", addr_file.display()))?;
 
-        let registry = jobs::scan_jobs(&cfg.root)?;
-        let (tx, rx) = std::sync::mpsc::sync_channel(cfg.queue_cap.max(1));
+        let jobs = jobs::scan_jobs(&cfg.root)?;
+        let queue = jobs
+            .iter()
+            .filter(|j| j.state == JobState::Queued)
+            .map(|j| j.id.clone())
+            .collect();
         Ok(Server {
             listener,
-            local_addr,
             state: Arc::new(State {
                 root: cfg.root.clone(),
+                local_addr,
                 workers: cfg.workers,
                 queue_cap: cfg.queue_cap.max(1),
                 shutdown: AtomicBool::new(false),
-                registry: Mutex::new(registry),
-                tx,
-                queued: AtomicUsize::new(0),
+                registry: Mutex::new(Registry { jobs, queue }),
+                wake: Condvar::new(),
                 cache: ShardCache::new(cfg.cache_bytes),
                 traces: TraceCache::new(cfg.cache_bytes),
                 started: Instant::now(),
@@ -189,13 +199,12 @@ impl Server {
                 jobs_submitted: AtomicU64::new(0),
                 jobs_rejected: AtomicU64::new(0),
             }),
-            rx,
         })
     }
 
     /// The address actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.state.local_addr
     }
 
     /// Serve until SIGTERM/`POST /shutdown`, then drain and return.
@@ -205,113 +214,81 @@ impl Server {
         let state = self.state;
         let runner = {
             let state = state.clone();
-            let rx = self.rx;
-            std::thread::spawn(move || runner_loop(&state, &rx))
+            std::thread::spawn(move || runner_loop(&state))
         };
-
-        // Re-enqueue unfinished jobs from before a restart, oldest
-        // first. A blocking send from a side thread keeps startup
-        // responsive even when there are more unfinished jobs than
-        // queue slots — the runner drains as we feed.
-        let backlog: Vec<String> = state
-            .registry()
-            .iter()
-            .filter(|j| j.state == JobState::Queued)
-            .map(|j| j.id.clone())
-            .collect();
-        let refeed = {
+        let watcher = {
             let state = state.clone();
             std::thread::spawn(move || {
-                for id in backlog {
-                    state.queued.fetch_add(1, Ordering::SeqCst);
-                    if state.tx.send(id).is_err() {
-                        state.queued.fetch_sub(1, Ordering::SeqCst);
-                        break;
+                while !state.shutdown.load(Ordering::SeqCst) {
+                    if SIGNALLED.load(Ordering::SeqCst) {
+                        state.begin_shutdown();
                     }
+                    std::thread::sleep(SIGNAL_POLL);
                 }
             })
         };
 
-        while !state.shutdown.load(Ordering::SeqCst) && !SIGNALLED.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
+        let mut accepted = Ok(());
+        for stream in self.listener.incoming() {
+            if state.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match stream {
+                Ok(stream) => {
                     let state = state.clone();
                     std::thread::spawn(move || handle_connection(&state, stream));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                Err(e) => {
+                    accepted = Err(format!("accept failed: {e}"));
+                    break;
                 }
-                Err(e) => return Err(format!("accept failed: {e}")),
             }
         }
         state.begin_shutdown();
-        let _ = refeed.join();
         runner
             .join()
             .map_err(|_| "runner thread panicked".to_string())?;
+        watcher
+            .join()
+            .map_err(|_| "signal watcher thread panicked".to_string())?;
         let _ = std::fs::remove_file(state.root.join("server.addr"));
-        Ok(())
+        accepted
     }
 }
 
-/// The single job runner: FIFO over the bounded queue, one campaign at
-/// a time, each campaign using the server's full worker count.
-///
-/// A job paused by its `max_cells` budget goes around again behind the
-/// jobs queued when it paused. It waits in a runner-local list, never in
-/// the channel: the runner is the channel's only consumer, so a blocking
-/// send from here would deadlock on a full queue, and a failed `try_send`
-/// would strand the job.
-fn runner_loop(state: &State, rx: &Receiver<String>) {
-    // Paused jobs, oldest first, each with the number of channel jobs
-    // still ahead of it.
-    let mut paused: VecDeque<(String, usize)> = VecDeque::new();
-    while !state.shutdown.load(Ordering::SeqCst) {
-        let received = match paused.front() {
-            None => match rx.recv_timeout(RUNNER_POLL) {
-                Ok(id) => Some(id),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            },
-            // An empty channel means nothing is ahead after all (the
-            // count may include a submission that was then refused).
-            Some(&(_, ahead)) if ahead > 0 => rx.try_recv().ok(),
-            Some(_) => None,
-        };
-        let id = match received {
-            Some(id) => {
-                for (_, ahead) in paused.iter_mut() {
-                    *ahead = ahead.saturating_sub(1);
+/// The single job runner: FIFO over the queue, one campaign at a time,
+/// each campaign using the server's full worker count. It checks for
+/// shutdown under the registry lock it waits on, so a wake-up cannot
+/// slip in between the check and the wait.
+fn runner_loop(state: &State) {
+    loop {
+        let id = {
+            let mut reg = state.registry();
+            loop {
+                if state.shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
-                id
+                if let Some(id) = reg.queue.pop_front() {
+                    break id;
+                }
+                reg = state.wake.wait(reg).unwrap_or_else(PoisonError::into_inner);
             }
-            None => paused.pop_front().expect("a paused job is due").0,
         };
-        state.queued.fetch_sub(1, Ordering::SeqCst);
-        if run_one(state, &id) {
-            let ahead = state
-                .queued
-                .load(Ordering::SeqCst)
-                .saturating_sub(paused.len());
-            state.queued.fetch_add(1, Ordering::SeqCst);
-            paused.push_back((id, ahead));
-        }
+        run_one(state, &id);
     }
 }
 
 /// Execute one job end to end and persist its terminal marker (or lack
-/// of one, which is what makes an interrupted job resumable). Returns
-/// true when the job paused on its `max_cells` budget mid-session and
-/// should run again.
-fn run_one(state: &State, id: &str) -> bool {
+/// of one, which is what makes an interrupted job resumable).
+fn run_one(state: &State, id: &str) {
     let (spec, cancel) = {
         let mut reg = state.registry();
-        let Some(job) = State::find(&mut reg, id) else {
-            return false;
+        let Some(job) = State::find(&mut reg.jobs, id) else {
+            return;
         };
         if job.state != JobState::Queued {
-            // Cancelled while queued (or a stale re-enqueue).
-            return false;
+            // Cancelled between the runner's pop and this lock.
+            return;
         }
         job.state = JobState::Running;
         (job.spec.clone(), job.cancel.clone())
@@ -319,7 +296,7 @@ fn run_one(state: &State, id: &str) -> bool {
 
     let finish = |st: JobState, error: Option<String>| {
         let mut reg = state.registry();
-        if let Some(job) = State::find(&mut reg, id) {
+        if let Some(job) = State::find(&mut reg.jobs, id) {
             job.state = st;
             job.error = error;
         }
@@ -333,7 +310,6 @@ fn run_one(state: &State, id: &str) -> bool {
             &serde::json::to_string(&ErrorDoc { error: e.clone() }),
         );
         finish(JobState::Failed, Some(e));
-        false
     };
 
     let resolved = match spec.resolve(state.workers) {
@@ -349,7 +325,7 @@ fn run_one(state: &State, id: &str) -> bool {
     let campaign = Campaign::new(&cdir, resolved);
     let on_progress = |p: &ProgressSnapshot| {
         let mut reg = state.registry();
-        if let Some(job) = State::find(&mut reg, id) {
+        if let Some(job) = State::find(&mut reg.jobs, id) {
             job.progress = Some(*p);
         }
     };
@@ -385,26 +361,25 @@ fn run_one(state: &State, id: &str) -> bool {
                     }),
                 );
                 finish(JobState::Done, None);
-                false
             }
             Err(e) => fail(e),
         };
     }
-    let user_cancelled = {
-        let mut reg = state.registry();
-        State::find(&mut reg, id).is_some_and(|j| j.cancel_requested)
+    let mut reg = state.registry();
+    let Some(job) = State::find(&mut reg.jobs, id) else {
+        return;
     };
-    if user_cancelled {
+    if job.cancel_requested {
         let _ = jobs::write_marker(&state.root, id, "cancelled.json", "{}\n");
-        finish(JobState::Cancelled, None);
-        return false;
+        job.state = JobState::Cancelled;
+        return;
     }
     // Interrupted by shutdown or a max_cells budget: no marker, so the
-    // job resumes on the next server start. A max_cells pause mid-session
-    // goes around again, so the job keeps making progress in bounded
+    // job resumes on the next server start. A max_cells pause goes to
+    // the back of the queue, so the job keeps making progress in bounded
     // bursts.
-    finish(JobState::Queued, None);
-    !state.shutdown.load(Ordering::SeqCst)
+    job.state = JobState::Queued;
+    reg.queue.push_back(id.to_string());
 }
 
 #[derive(Serialize)]
@@ -421,7 +396,6 @@ struct DoneDoc {
 /// Serve one connection: keep-alive loop, pipelining via the shared
 /// `BufReader`, bounded parsing with HTTP error mapping.
 fn handle_connection(state: &Arc<State>, stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -494,8 +468,8 @@ fn route(state: &Arc<State>, req: &Request) -> Response {
     }
 }
 
-/// `POST /jobs`: validate, persist, enqueue — 429 when the queue is
-/// full, which is the server's backpressure contract.
+/// `POST /jobs`: validate, persist, enqueue — 429 when the queue holds
+/// `queue_cap` jobs, which is the server's backpressure contract.
 fn submit(state: &Arc<State>, req: &Request) -> Response {
     if state.shutdown.load(Ordering::SeqCst) {
         return Response::error(503, "server is shutting down");
@@ -510,7 +484,11 @@ fn submit(state: &Arc<State>, req: &Request) -> Response {
 
     let id = {
         let mut reg = state.registry();
-        let id = jobs::next_id(&reg);
+        if reg.queue.len() >= state.queue_cap {
+            state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
+            return Response::error(429, "job queue full; retry after a job finishes");
+        }
+        let id = jobs::next_id(&reg.jobs);
         let cdir = jobs::campaign_dir(&state.root, &id);
         if let Err(e) = std::fs::create_dir_all(&cdir) {
             return Response::error(503, &format!("cannot create job dir: {e}"));
@@ -519,30 +497,20 @@ fn submit(state: &Arc<State>, req: &Request) -> Response {
         if let Err(e) = std::fs::write(&spec_path, serde::json::to_string_pretty(&spec)) {
             return Response::error(503, &format!("cannot persist spec: {e}"));
         }
-        reg.push(Job::new(id.clone(), spec, JobState::Queued));
+        reg.jobs.push(Job::new(id.clone(), spec, JobState::Queued));
+        reg.queue.push_back(id.clone());
         id
     };
-
-    match state.try_enqueue(id.clone()) {
-        Ok(()) => {
-            state.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-            Response::json(201, format!("{{\"id\":\"{id}\",\"state\":\"queued\"}}"))
-        }
-        Err(TrySendError::Full(_)) => {
-            state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            let mut reg = state.registry();
-            reg.retain(|j| j.id != id);
-            let _ = std::fs::remove_dir_all(jobs::job_dir(&state.root, &id));
-            Response::error(429, "job queue full; retry after a job finishes")
-        }
-        Err(TrySendError::Disconnected(_)) => Response::error(503, "server is shutting down"),
-    }
+    state.wake.notify_all();
+    state.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+    Response::json(201, format!("{{\"id\":\"{id}\",\"state\":\"queued\"}}"))
 }
 
 /// `GET /jobs`: id + state for every known job, submission order.
 fn list_jobs(state: &Arc<State>) -> Response {
     let reg = state.registry();
     let jobs: Vec<Value> = reg
+        .jobs
         .iter()
         .map(|j| {
             Value::Object(vec![
@@ -553,10 +521,7 @@ fn list_jobs(state: &Arc<State>) -> Response {
         .collect();
     let doc = Value::Object(vec![
         ("jobs".into(), Value::Array(jobs)),
-        (
-            "queue_depth".into(),
-            Value::U64(state.queued.load(Ordering::SeqCst) as u64),
-        ),
+        ("queue_depth".into(), Value::U64(reg.queue.len() as u64)),
         ("queue_cap".into(), Value::U64(state.queue_cap as u64)),
     ]);
     Response::json(200, serde::json::to_string(&doc))
@@ -567,7 +532,7 @@ fn list_jobs(state: &Arc<State>) -> Response {
 fn job_status(state: &Arc<State>, id: &str) -> Response {
     let (job_state, spec, error, live) = {
         let reg = state.registry();
-        let Some(job) = reg.iter().find(|j| j.id == id) else {
+        let Some(job) = reg.jobs.iter().find(|j| j.id == id) else {
             return Response::error(404, &format!("no such job `{id}`"));
         };
         (job.state, job.spec.clone(), job.error.clone(), job.progress)
@@ -606,7 +571,7 @@ fn job_status(state: &Arc<State>, id: &str) -> Response {
 fn aggregates(state: &Arc<State>, id: &str) -> Response {
     let job_state = {
         let reg = state.registry();
-        let Some(job) = reg.iter().find(|j| j.id == id) else {
+        let Some(job) = reg.jobs.iter().find(|j| j.id == id) else {
             return Response::error(404, &format!("no such job `{id}`"));
         };
         job.state
@@ -645,10 +610,12 @@ fn aggregates(state: &Arc<State>, id: &str) -> Response {
 }
 
 /// `POST /jobs/<id>/cancel`: cooperative — a queued job flips straight
-/// to cancelled; a running one drains its in-flight cells first.
+/// to cancelled and leaves the queue; a running one drains its in-flight
+/// cells first.
 fn cancel(state: &Arc<State>, id: &str) -> Response {
-    let mut reg = state.registry();
-    let Some(job) = State::find(&mut reg, id) else {
+    let mut guard = state.registry();
+    let reg = &mut *guard;
+    let Some(job) = State::find(&mut reg.jobs, id) else {
         return Response::error(404, &format!("no such job `{id}`"));
     };
     if job.state.is_terminal() {
@@ -662,6 +629,7 @@ fn cancel(state: &Arc<State>, id: &str) -> Response {
     if job.state == JobState::Queued {
         job.state = JobState::Cancelled;
         let _ = jobs::write_marker(&state.root, id, "cancelled.json", "{}\n");
+        reg.queue.retain(|q| q != id);
     }
     let current = job.state.as_str();
     Response::json(
@@ -702,7 +670,7 @@ fn metrics(state: &Arc<State>) -> Response {
     gauge(
         "spear_serve_queue_depth",
         "Jobs waiting in the bounded queue.",
-        state.queued.load(Ordering::SeqCst).to_string(),
+        state.registry().queue.len().to_string(),
     );
     gauge(
         "spear_serve_queue_cap",
@@ -715,7 +683,7 @@ fn metrics(state: &Arc<State>) -> Response {
         let mut counts = [0u64; 5];
         let mut running: Option<ProgressSnapshot> = None;
         let mut running_bpreds: Vec<String> = Vec::new();
-        for j in reg.iter() {
+        for j in reg.jobs.iter() {
             let i = match j.state {
                 JobState::Queued => 0,
                 JobState::Running => 1,

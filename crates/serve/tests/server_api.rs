@@ -230,6 +230,57 @@ fn max_cells_job_resumes_behind_a_full_queue() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// Cancelling a queued job takes it out of the queue: its slot is free
+/// for the next submission at once, not when the runner reaches it.
+#[test]
+fn cancelling_a_queued_job_frees_its_queue_slot() {
+    let (addr, root, handle) = start("cancel-slot", 1);
+
+    let (status, body) = submit(&addr, &big_spec());
+    assert_eq!(status, 201, "{body}");
+    let a = field_str(&body, "id").unwrap();
+    wait_for_state(&addr, &a, "running", Duration::from_secs(60));
+
+    let (status, body) = submit(&addr, &small_spec());
+    assert_eq!(status, 201, "{body}");
+    let b = field_str(&body, "id").unwrap();
+    let (status, body) =
+        client::request(&addr, "POST", &format!("/jobs/{b}/cancel"), None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(job_state(&addr, &b), "cancelled");
+
+    let (_, list) = client::request(&addr, "GET", "/jobs", None).unwrap();
+    assert!(list.contains("\"queue_depth\":0"), "{list}");
+    let (status, body) = submit(&addr, &small_spec());
+    assert_eq!(status, 201, "{body}");
+
+    let (status, body) =
+        client::request(&addr, "POST", &format!("/jobs/{a}/cancel"), None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    shutdown(&addr, handle);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Request handling waits on the socket, not on a timer: fifty
+/// sequential round trips to an idle server take well under the time
+/// one 25 ms poll tick per request would add up to.
+#[test]
+fn idle_round_trips_do_not_wait_on_a_timer() {
+    let (addr, root, handle) = start("round-trips", 4);
+    let t0 = Instant::now();
+    for _ in 0..50 {
+        let (status, _) = client::request(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "50 round trips took {elapsed:?}"
+    );
+    shutdown(&addr, handle);
+    let _ = std::fs::remove_dir_all(root);
+}
+
 #[test]
 fn invalid_specs_are_rejected_with_400() {
     let (addr, root, handle) = start("badspec", 4);
