@@ -39,6 +39,13 @@ impl SampleSpec {
         }
     }
 
+    /// One cold interval per workload, from instruction 0 to `halt`: a
+    /// campaign under this spec simulates each program whole, exactly as
+    /// a single full run does.
+    pub fn whole_program() -> SampleSpec {
+        SampleSpec::full(u64::MAX)
+    }
+
     /// Does instruction `inst` start a sampled interval? Boundaries are
     /// multiples of `interval_len`, and interval `k` is sampled when
     /// `k % stride == 0`.
