@@ -546,10 +546,9 @@ impl Predictor {
     }
 }
 
-/// Kind-tagged warm direction-predictor state. The serialized form
-/// carries an explicit `kind` tag, so a checkpoint restored under a
-/// different predictor configuration fails by *name*, never by a
-/// coincidental geometry match.
+/// Kind-tagged warm direction-predictor state: a checkpoint restored
+/// under a different predictor configuration fails by *kind*, never by
+/// a coincidental geometry match.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DirSnapshot {
     /// Bimodal 2-bit counters.
@@ -587,54 +586,11 @@ impl Default for DirSnapshot {
     }
 }
 
-// Hand-written (de)serialization: the vendored serde derive cannot
-// handle data-carrying enum variants, and the tag must live *inside*
-// the object (`"kind": "..."`) so old-vs-new mismatches read clearly.
-impl Serialize for DirSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("kind".to_string(), self.kind().name().to_value())];
-        match self {
-            DirSnapshot::Bimodal { counters } => {
-                fields.push(("counters".to_string(), counters.to_value()));
-            }
-            DirSnapshot::Gshare { counters, history } => {
-                fields.push(("counters".to_string(), counters.to_value()));
-                fields.push(("history".to_string(), history.to_value()));
-            }
-            DirSnapshot::Tage(t) => {
-                fields.push(("tage".to_string(), t.to_value()));
-            }
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for DirSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let kind = String::from_value(v.field("kind")?)?;
-        match kind.as_str() {
-            "bimodal" => Ok(DirSnapshot::Bimodal {
-                counters: Vec::<u8>::from_value(v.field("counters")?)?,
-            }),
-            "gshare" => Ok(DirSnapshot::Gshare {
-                counters: Vec::<u8>::from_value(v.field("counters")?)?,
-                history: u32::from_value(v.field("history")?)?,
-            }),
-            "tage" => Ok(DirSnapshot::Tage(TageSnapshot::from_value(
-                v.field("tage")?,
-            )?)),
-            other => Err(serde::Error::new(format!(
-                "unknown direction-predictor kind `{other}` in snapshot"
-            ))),
-        }
-    }
-}
-
-/// Serializable image of a [`Predictor`]'s warm state, used by the
-/// checkpointing subsystem (`spear-campaign`). The direction state is a
-/// kind-tagged payload ([`DirSnapshot`]), so a snapshot is self-
-/// describing and a kind/geometry mismatch on restore fails loudly.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Image of a [`Predictor`]'s warm state, used by the checkpointing
+/// subsystem (`spear-campaign`). The direction state is a kind-tagged
+/// payload ([`DirSnapshot`]), so a kind/geometry mismatch on restore
+/// fails loudly.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PredictorSnapshot {
     /// Kind-tagged direction-predictor state.
     pub dir: DirSnapshot,
@@ -881,25 +837,6 @@ mod tests {
         // And it survives the JSON envelope.
         let back = PredictorDetail::from_value(&m.to_value()).unwrap();
         assert_eq!(back, m);
-    }
-
-    #[test]
-    fn dir_snapshot_serializes_with_kind_tag() {
-        for kind in [
-            PredictorKind::Bimodal,
-            PredictorKind::Gshare,
-            PredictorKind::Tage,
-        ] {
-            let snap = Predictor::new(config(kind)).snapshot();
-            let v = snap.to_value();
-            let json = serde::json::to_string(&v);
-            assert!(
-                json.contains(&format!("\"kind\":\"{}\"", kind.name())),
-                "{json}"
-            );
-            let back = PredictorSnapshot::from_value(&v).unwrap();
-            assert_eq!(back, snap);
-        }
     }
 
     #[test]

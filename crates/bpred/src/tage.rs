@@ -534,10 +534,9 @@ impl BranchPredictor for Tage {
     }
 }
 
-/// Serializable warm TAGE state (vendored-serde friendly: named fields,
-/// scalars and `Vec`s only). Internal stat counters are deliberately
-/// absent — a restored predictor counts only its own resolutions.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Warm TAGE state. Internal stat counters are deliberately absent — a
+/// restored predictor counts only its own resolutions.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TageSnapshot {
     /// Bimodal base counters.
     pub base: Vec<u8>,

@@ -20,28 +20,11 @@
 //! across every (machine, latency) point of a campaign.
 
 use crate::sample::SampleSpec;
-use serde::{Deserialize, Serialize};
 use spear_bpred::{Predictor, PredictorConfig, PredictorSnapshot};
 use spear_cpu::Core;
 use spear_exec::{Interp, Memory, RegFile, StepInfo};
 use spear_isa::Program;
 use spear_mem::{AccessKind, HierConfig, HierSnapshot, Hierarchy};
-
-/// Version of the checkpoint JSON format. Bump on any breaking change.
-///
-/// v1 stored the memory image as plain hex (two characters per byte,
-/// even for the untouched zero pages that dominate a data image); v2
-/// stores zero-eliding RLE-hex (see [`to_rle_hex`]); v3 replaces the
-/// flat bimodal/gshare predictor snapshot with the kind-tagged
-/// polymorphic `PredictorSnapshot` (direction state under a `dir`
-/// envelope whose `kind` tag names the predictor, so a checkpoint can
-/// never silently restore into the wrong predictor); v4 adds the
-/// trace-cursor snapshot — the retired-instruction index a trace-driven
-/// front end must resume replay at — so a trace-backed campaign cell can
-/// restore mid-stream, and rejects documents whose cursor disagrees with
-/// the instruction index. Old documents are rejected loudly by version
-/// before any field is decoded.
-pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// A restorable simulation state at an instruction boundary.
 #[derive(Clone, Debug)]
@@ -53,9 +36,7 @@ pub struct Checkpoint {
     /// Replay cursor for a trace-driven front end: the record index a
     /// `.spt` replay must resume at. Equal to [`Checkpoint::inst_index`]
     /// by construction (a trace stores one record per retired
-    /// instruction); persisted separately so a tampered or
-    /// wrongly-spliced document is rejected instead of silently
-    /// replaying the wrong stream position.
+    /// instruction).
     pub trace_cursor: u64,
     /// Next PC.
     pub pc: u32,
@@ -111,143 +92,6 @@ impl Checkpoint {
             self.inst_index,
         )
     }
-
-    /// Serialize to a self-contained JSON document (memory RLE-hex
-    /// encoded — zero runs elided, see [`to_rle_hex`]).
-    pub fn to_json(&self) -> String {
-        let doc = CheckpointDoc {
-            version: CHECKPOINT_VERSION,
-            workload: self.workload.clone(),
-            inst_index: self.inst_index,
-            trace_cursor: self.trace_cursor,
-            pc: self.pc,
-            regs: self.regs.to_bits(),
-            mem_rle: to_rle_hex(self.mem.as_bytes()),
-            hier: self.hier.clone(),
-            pred: self.pred.clone(),
-        };
-        serde::json::to_string(&doc)
-    }
-
-    /// Parse a document produced by [`Checkpoint::to_json`].
-    ///
-    /// The version gate runs before full field decoding, so an old
-    /// document fails with an explicit version message rather than an
-    /// incidental missing-field error.
-    pub fn from_json(s: &str) -> Result<Checkpoint, String> {
-        let v = serde::json::parse(s).map_err(|e| format!("checkpoint parse: {e:?}"))?;
-        let version = v
-            .field("version")
-            .and_then(u32::from_value)
-            .map_err(|e| format!("checkpoint parse: {e:?}"))?;
-        if version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
-            ));
-        }
-        let doc = CheckpointDoc::from_value(&v).map_err(|e| format!("checkpoint parse: {e:?}"))?;
-        if doc.trace_cursor != doc.inst_index {
-            return Err(format!(
-                "checkpoint trace cursor {} does not match instruction index {} — \
-                 refusing a cursor-mismatched restore",
-                doc.trace_cursor, doc.inst_index
-            ));
-        }
-        Ok(Checkpoint {
-            workload: doc.workload,
-            inst_index: doc.inst_index,
-            trace_cursor: doc.trace_cursor,
-            pc: doc.pc,
-            regs: RegFile::from_bits(&doc.regs)?,
-            mem: Memory::from_bytes(from_rle_hex(&doc.mem_rle)?),
-            hier: doc.hier,
-            pred: doc.pred,
-        })
-    }
-}
-
-/// The on-disk shape of a checkpoint (vendored-serde friendly: named
-/// fields, scalars, `Vec`s and strings only).
-#[derive(Serialize, Deserialize)]
-struct CheckpointDoc {
-    version: u32,
-    workload: String,
-    inst_index: u64,
-    trace_cursor: u64,
-    pc: u32,
-    regs: Vec<u64>,
-    mem_rle: String,
-    hier: HierSnapshot,
-    pred: PredictorSnapshot,
-}
-
-/// Minimum zero-run length worth a `z<len>.` token. A run of `n` zero
-/// bytes costs `2n` characters as hex and `2 + digits(n)` as a token,
-/// so two bytes is already a win.
-const MIN_ZERO_RUN: usize = 2;
-
-/// Encode a byte image as zero-eliding RLE-hex: literal stretches are
-/// plain lowercase hex (two characters per byte) and every run of
-/// [`MIN_ZERO_RUN`]-or-more zero bytes becomes a `z<len>.` token. Hex
-/// digits never include `z` or `.`, so decoding is unambiguous. Data
-/// images are dominated by untouched zero pages, which this shrinks
-/// from two characters per byte to a handful per run.
-fn to_rle_hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == 0 {
-            let run = bytes[i..].iter().take_while(|&&b| b == 0).count();
-            if run >= MIN_ZERO_RUN {
-                s.push('z');
-                s.push_str(&run.to_string());
-                s.push('.');
-                i += run;
-                continue;
-            }
-        }
-        s.push(DIGITS[(bytes[i] >> 4) as usize] as char);
-        s.push(DIGITS[(bytes[i] & 0xF) as usize] as char);
-        i += 1;
-    }
-    s
-}
-
-/// Decode [`to_rle_hex`] output back into the byte image.
-fn from_rle_hex(s: &str) -> Result<Vec<u8>, String> {
-    let nibble = |c: u8| -> Result<u8, String> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            _ => Err(format!("invalid hex digit {:?}", c as char)),
-        }
-    };
-    let raw = s.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        if raw[i] == b'z' {
-            let end = raw[i + 1..]
-                .iter()
-                .position(|&c| c == b'.')
-                .map(|p| i + 1 + p)
-                .ok_or("unterminated zero-run token in memory image")?;
-            let run: usize = s[i + 1..end]
-                .parse()
-                .map_err(|_| format!("bad zero-run length {:?}", &s[i + 1..end]))?;
-            out.resize(out.len() + run, 0);
-            i = end + 1;
-        } else {
-            if i + 1 >= raw.len() {
-                return Err("odd-length hex stretch in memory image".to_string());
-            }
-            out.push((nibble(raw[i])? << 4) | nibble(raw[i + 1])?);
-            i += 2;
-        }
-    }
-    Ok(out)
 }
 
 /// Accumulates warm microarchitectural state during a functional
@@ -471,48 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn rle_hex_round_trip() {
-        // All byte values, with zero runs of every interesting length
-        // (none, single, exactly MIN_ZERO_RUN, long) spliced between.
-        let mut bytes: Vec<u8> = (0..=255).collect();
-        bytes.splice(0..0, [0u8; 1]);
-        bytes.extend([0u8; 2]);
-        bytes.push(7);
-        bytes.extend([0u8; 4096]);
-        assert_eq!(from_rle_hex(&to_rle_hex(&bytes)).unwrap(), bytes);
-        assert_eq!(from_rle_hex(&to_rle_hex(&[])).unwrap(), Vec::<u8>::new());
-        assert!(from_rle_hex("0").is_err(), "odd literal stretch rejected");
-        assert!(from_rle_hex("qq").is_err(), "non-hex rejected");
-        assert!(from_rle_hex("z12").is_err(), "unterminated run rejected");
-        assert!(from_rle_hex("z.").is_err(), "empty run length rejected");
-    }
-
-    #[test]
-    fn zero_pages_are_elided_not_spelled_out() {
-        let mut bytes = vec![0u8; 64 * 1024];
-        bytes[123] = 0xAB;
-        let enc = to_rle_hex(&bytes);
-        assert!(
-            enc.len() < 64,
-            "a near-empty 64 KiB image must encode in a few tokens, got {} chars",
-            enc.len()
-        );
-        assert_eq!(from_rle_hex(&enc).unwrap(), bytes);
-    }
-
-    #[test]
-    fn v1_checkpoint_documents_fail_loudly_by_version() {
-        // A minimal v1-shaped document (hex memory image, version 1).
-        let v1 = r#"{"version": 1, "workload": "chase", "inst_index": 0, "pc": 0,
-                     "regs": [], "mem_hex": "00ff"}"#;
-        let err = Checkpoint::from_json(v1).unwrap_err();
-        assert!(
-            err.contains("version 1 unsupported (expected 4)"),
-            "the version gate must fire before field decoding: {err}"
-        );
-    }
-
-    #[test]
     fn capture_covers_sampled_intervals_and_total_length() {
         let p = chase_program(100);
         let set = capture_interval_checkpoints(
@@ -560,8 +362,13 @@ mod tests {
         assert_eq!(by_boundary.total_insts, by_interval.total_insts);
         assert_eq!(by_boundary.checkpoints.len(), 3);
         for (a, b) in by_boundary.checkpoints.iter().zip(&by_interval.checkpoints) {
-            // Same boundary + same warming history => identical documents.
-            assert_eq!(a.to_json(), b.to_json());
+            // Same boundary + same warming history => identical state.
+            assert_eq!(a.inst_index, b.inst_index);
+            assert_eq!(a.pc, b.pc);
+            assert_eq!(a.regs, b.regs);
+            assert_eq!(a.mem, b.mem);
+            assert_eq!(a.hier, b.hier);
+            assert_eq!(a.pred, b.pred);
         }
         // A boundary past halt is a loud error, not a silent omission.
         let err = capture_checkpoints_at(
@@ -603,31 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_everything() {
-        let p = chase_program(40);
-        let set = capture_interval_checkpoints(
-            &p,
-            "chase",
-            HierConfig::paper(),
-            PredictorConfig::paper(),
-            100,
-            1,
-            1_000_000,
-        )
-        .unwrap();
-        let cp = &set.checkpoints[1];
-        let back = Checkpoint::from_json(&cp.to_json()).expect("round trip");
-        assert_eq!(back.workload, cp.workload);
-        assert_eq!(back.inst_index, cp.inst_index);
-        assert_eq!(back.trace_cursor, cp.trace_cursor);
-        assert_eq!(back.pc, cp.pc);
-        assert_eq!(back.regs, cp.regs);
-        assert_eq!(back.mem, cp.mem);
-        assert_eq!(back.hier, cp.hier);
-        assert_eq!(back.pred, cp.pred);
-    }
-
-    #[test]
     fn warm_checkpoint_carries_cache_and_predictor_state() {
         let p = chase_program(100);
         let set = capture_interval_checkpoints(
@@ -665,8 +447,5 @@ mod tests {
                 .unwrap();
         let warm = &set.checkpoints[1];
         assert_eq!(warm.pred.dir.kind(), spear_bpred::PredictorKind::Tage);
-        // And the tagged payload survives the JSON round trip.
-        let back = Checkpoint::from_json(&warm.to_json()).expect("round trip");
-        assert_eq!(back.pred, warm.pred);
     }
 }

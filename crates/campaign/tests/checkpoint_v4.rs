@@ -1,13 +1,10 @@
-//! Checkpoint v4: the trace-cursor snapshot. A v4 document records how
-//! many instructions had retired when the checkpoint was captured — the
-//! exact record index a [`spear_cpu::TraceSource`] must resume from when
-//! a campaign cell replays a recorded trace instead of executing the
-//! program. Older v3 documents (no cursor) must be rejected loudly by
-//! version, and a document whose cursor disagrees with its instruction
-//! index must be rejected before it can seed a misaligned replay.
+//! The checkpoint's trace cursor: how many instructions had retired when
+//! the checkpoint was captured — the exact record index a
+//! [`spear_cpu::TraceSource`] must resume from when a campaign cell
+//! replays a recorded trace instead of executing the program.
 
 use spear_bpred::PredictorConfig;
-use spear_campaign::checkpoint::{capture_interval_checkpoints, Checkpoint, CHECKPOINT_VERSION};
+use spear_campaign::checkpoint::{capture_interval_checkpoints, Checkpoint};
 use spear_campaign::record_trace;
 use spear_cpu::{Core, CoreConfig, RunExit, TraceSource};
 use spear_isa::asm::Asm;
@@ -50,7 +47,7 @@ fn checkpoints() -> Vec<Checkpoint> {
 }
 
 #[test]
-fn cursor_tracks_the_instruction_index_and_round_trips() {
+fn cursor_tracks_the_instruction_index() {
     let cps = checkpoints();
     assert!(cps.len() > 1, "loop spans several intervals");
     for cp in &cps {
@@ -58,51 +55,9 @@ fn cursor_tracks_the_instruction_index_and_round_trips() {
             cp.trace_cursor, cp.inst_index,
             "capture pins the cursor to the retired-instruction count"
         );
-        let back = Checkpoint::from_json(&cp.to_json()).expect("parse own output");
-        assert_eq!(back.trace_cursor, cp.trace_cursor);
     }
     // Mid-run checkpoints carry a genuinely nonzero cursor.
     assert!(cps.last().unwrap().trace_cursor > 0);
-}
-
-#[test]
-fn v3_documents_are_rejected_loudly_by_version() {
-    // A *real* v4 document downgraded only in its version field — the
-    // shape a leftover pre-trace campaign directory would have. The gate
-    // must fire on the number alone, not on the (coincidentally present)
-    // cursor field.
-    let cp = checkpoints().last().unwrap().clone();
-    assert_eq!(CHECKPOINT_VERSION, 4);
-    let v4 = cp.to_json();
-    let v3 = v4.replace("\"version\":4,", "\"version\":3,");
-    assert_ne!(v3, v4, "the version field must appear in the document");
-    let err = Checkpoint::from_json(&v3).expect_err("v3 must be rejected");
-    assert!(
-        err.contains("version 3 unsupported (expected 4)"),
-        "rejection must name both versions: {err}"
-    );
-}
-
-#[test]
-fn cursor_index_disagreement_is_rejected_naming_both_numbers() {
-    let cp = checkpoints().last().unwrap().clone();
-    assert!(cp.trace_cursor > 0);
-    let json = cp.to_json();
-    let needle = format!("\"trace_cursor\":{}", cp.trace_cursor);
-    let spliced = json.replace(
-        &needle,
-        &format!("\"trace_cursor\":{}", cp.trace_cursor + 7),
-    );
-    assert_ne!(
-        spliced, json,
-        "the cursor field must appear in the document"
-    );
-    let err = Checkpoint::from_json(&spliced).expect_err("mismatched cursor");
-    assert!(
-        err.contains(&format!("{}", cp.trace_cursor + 7))
-            && err.contains(&format!("{}", cp.inst_index)),
-        "rejection must name both numbers: {err}"
-    );
 }
 
 #[test]

@@ -11,7 +11,8 @@
 //!   ends, 2/4 hardware contexts, the three Figure-6 machines, and
 //!   sampled-vs-full checkpointed simulation, with structural invariants
 //!   (exact CPI-stack slots, prefetch partition, cache tag-store
-//!   well-formedness) and a mid-run checkpoint JSON round-trip;
+//!   well-formedness) and a mid-run checkpoint capture → restore →
+//!   continue;
 //! * [`shrink`] + [`corpus`] — ddmin-style minimization of any failure
 //!   into a small reproducer stored as JSON under `tests/corpus/`,
 //!   replayed forever after as a regression test.

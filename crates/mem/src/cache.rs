@@ -133,11 +133,11 @@ impl CacheStats {
     }
 }
 
-/// Serializable image of a cache's tag array and replacement state, used
-/// by the checkpointing subsystem (`spear-campaign`) to carry *warm*
-/// cache contents across a save/restore boundary. Statistics are not
-/// part of the snapshot: a restored cache starts counting from zero.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Image of a cache's tag array and replacement state, used by the
+/// checkpointing subsystem (`spear-campaign`) to carry *warm* cache
+/// contents across a capture/restore boundary. Statistics are not part
+/// of the snapshot: a restored cache starts counting from zero.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// Geometry fingerprint (`sets`, `assoc`, `block_bytes`) — restore
     /// refuses a snapshot taken under a different shape.

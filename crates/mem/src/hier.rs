@@ -646,9 +646,9 @@ impl Hierarchy {
     }
 }
 
-/// Serializable image of the warm contents of a [`Hierarchy`]'s three
-/// caches. See [`Hierarchy::snapshot`] for what is (and is not) captured.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Image of the warm contents of a [`Hierarchy`]'s three caches. See
+/// [`Hierarchy::snapshot`] for what is (and is not) captured.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HierSnapshot {
     /// L1 data cache contents.
     pub l1d: crate::cache::CacheSnapshot,
