@@ -49,6 +49,18 @@ pub struct MachinePoint {
     pub config: CoreConfig,
 }
 
+impl MachinePoint {
+    /// Machine `m` at `latency` (`None` = the Table 2 latencies),
+    /// labelled with the machine's name.
+    pub fn of(m: Machine, latency: Option<LatencyConfig>) -> MachinePoint {
+        MachinePoint {
+            machine: m.name().to_string(),
+            mem_latency: latency.unwrap_or_else(LatencyConfig::paper).memory,
+            config: m.config(latency),
+        }
+    }
+}
+
 /// SimPoint phase-clustering parameters for a `--simpoint` campaign.
 ///
 /// With this set, the prepare phase slices every workload's committed
@@ -139,6 +151,7 @@ impl CampaignSpec {
             }
         }
         for (i, p) in self.points.iter().enumerate() {
+            p.config.check_latency()?;
             let label = p.config.bpred.spec_label();
             let seen = self.points[..i].iter().any(|q| {
                 q.machine == p.machine
@@ -314,18 +327,12 @@ impl JobSpec {
         })
         .collect::<Result<Vec<_>, _>>()?;
         let latency = self.mem_latency.map(LatencyConfig::sweep_point);
-        let mem_latency = latency.unwrap_or_else(LatencyConfig::paper).memory;
         let mut points = Vec::with_capacity(machines.len() * bpreds.len());
         for &m in &machines {
             for &bpred in &bpreds {
-                points.push(MachinePoint {
-                    machine: m.name().to_string(),
-                    mem_latency,
-                    config: CoreConfig {
-                        bpred,
-                        ..m.config(latency)
-                    },
-                });
+                let mut point = MachinePoint::of(m, latency);
+                point.config.bpred = bpred;
+                points.push(point);
             }
         }
         // `simpoint_k` / `simpoint_seed` imply simpoint, exactly like the

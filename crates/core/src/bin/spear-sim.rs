@@ -751,6 +751,14 @@ fn main() {
         }
     }
     let Some(file) = file else { usage() };
+    let mut cfg = machine.config(latency);
+    if let Some(bp) = bpred {
+        cfg.bpred = bp;
+    }
+    if let Err(e) = cfg.check_latency() {
+        eprintln!("spear-sim: {e}");
+        exit(exitcode::USAGE)
+    }
     // Resolve the instruction supply. The default `program` front end
     // compiles/loads the positional argument and executes semantics at
     // dispatch; `--frontend trace:FILE` replays a recorded committed
@@ -778,10 +786,6 @@ fn main() {
         None => Some(load_input(&file)),
     };
 
-    let mut cfg = machine.config(latency);
-    if let Some(bp) = bpred {
-        cfg.bpred = bp;
-    }
     let bpred_label = cfg.bpred.spec_label();
     let commit_width = cfg.commit_width;
     let mem_latency = cfg.hier.latency.memory;

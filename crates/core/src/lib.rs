@@ -5,16 +5,23 @@
 //! - [`machines`] — the five evaluated machine models (baseline,
 //!   SPEAR-128/256, SPEAR.sf-128/256),
 //! - [`runner`] — compile-and-simulate plumbing,
-//! - [`experiments`] — one entry point per table and figure of §5,
+//! - [`experiments`] — one entry point per table and figure of §5, each
+//!   simulated figure a campaign (see `spear-campaign`),
 //! - [`report`] — renderers matching the paper's row/series formats.
 //!
+//! The printers for every table and figure are this crate's examples
+//! (`cargo run --release -p spear --example fig6`, and so on).
+//!
 //! ```no_run
-//! use spear::experiments::{compile_all, fig6};
+//! use spear::experiments::fig6;
 //! use spear::report;
 //!
-//! let workloads = spear_workloads::all();
-//! let compiled = compile_all(&workloads);
-//! let matrix = fig6(&compiled);
+//! let names: Vec<String> = spear_workloads::all()
+//!     .iter()
+//!     .map(|w| w.name.to_string())
+//!     .collect();
+//! let dir = std::path::Path::new("target/spear-results/fig6");
+//! let matrix = fig6(&names, dir).expect("fig6 campaign");
 //! println!("{}", report::ipc_matrix(&matrix));
 //! ```
 

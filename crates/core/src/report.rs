@@ -244,19 +244,19 @@ pub fn table1(rows: &[Table1Row]) -> String {
 pub fn ipc_matrix(m: &IpcMatrix) -> String {
     let mut s = String::new();
     let _ = write!(s, "  {:<10} {:>10}", "benchmark", "base IPC");
-    for mach in m.machines.iter().skip(1) {
-        let _ = write!(s, " {:>14}", mach.name());
+    for p in m.points.iter().skip(1) {
+        let _ = write!(s, " {:>14}", p.machine);
     }
     let _ = writeln!(s);
     for r in 0..m.workloads.len() {
         let _ = write!(s, "  {:<10} {:>10.4}", m.workloads[r], m.ipc(r, 0));
-        for c in 1..m.machines.len() {
+        for c in 1..m.points.len() {
             let _ = write!(s, " {:>14.4}", m.normalized(r, c));
         }
         let _ = writeln!(s);
     }
     let _ = write!(s, "  {:<10} {:>10}", "AVERAGE", "1.0000");
-    for c in 1..m.machines.len() {
+    for c in 1..m.points.len() {
         let _ = write!(s, " {:>14.4}", m.mean_normalized(c));
     }
     let _ = writeln!(s);
@@ -389,10 +389,10 @@ pub fn write_csv(
 pub fn ipc_matrix_csv(m: &IpcMatrix) -> (Vec<&'static str>, Vec<Vec<String>>) {
     let mut rows = Vec::new();
     for r in 0..m.workloads.len() {
-        for c in 0..m.machines.len() {
+        for c in 0..m.points.len() {
             rows.push(vec![
                 m.workloads[r].clone(),
-                m.machines[c].name().to_string(),
+                m.points[c].machine.clone(),
                 format!("{:.6}", m.ipc(r, c)),
                 format!("{:.6}", m.normalized(r, c)),
             ]);
@@ -401,7 +401,7 @@ pub fn ipc_matrix_csv(m: &IpcMatrix) -> (Vec<&'static str>, Vec<Vec<String>>) {
     (vec!["benchmark", "machine", "ipc", "normalized"], rows)
 }
 
-/// Header printed by every bench target.
+/// Header printed by every table and figure example.
 pub fn header(title: &str) -> String {
     let mut s = String::new();
     let _ = writeln!(

@@ -102,6 +102,14 @@ const CASES: &[Case] = &[
         needle: "bad predictor spec `tage:tables=zero`",
     },
     Case {
+        what: "memory latency past the deadlock watchdog",
+        job: |j| j.mem_latency = Some(u32::MAX),
+        engine: Some(|s| {
+            s.points[0].config.hier.latency = spear_mem::LatencyConfig::sweep_point(u32::MAX)
+        }),
+        needle: "memory latency 4294967295 is too long",
+    },
+    Case {
         what: "unknown machine",
         job: |j| j.machines = vec!["cray-1".into()],
         engine: None,
@@ -139,6 +147,7 @@ fn cli_flags(job: &JobSpec) -> Vec<String> {
     flag("--interval", job.interval.to_string());
     flag("--stride", job.stride.to_string());
     for (name, value) in [
+        ("--mem-latency", job.mem_latency.map(u64::from)),
         ("--window", job.window),
         ("--simpoint-k", job.simpoint_k),
         ("--simpoint-seed", job.simpoint_seed),
@@ -217,4 +226,34 @@ fn every_entry_point_rejects_every_invalid_spec_with_one_diagnostic() {
     assert_eq!(status, 200);
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// The single-run flag parser applies the same latency rule: one miss
+/// past the watchdog's reach is a usage error before any output exists,
+/// not a "pipeline deadlock" mid-run.
+#[test]
+fn single_run_rejects_a_memory_latency_past_the_deadlock_watchdog() {
+    let dir = temp_dir("single-run");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stats = dir.join("stats.json");
+    let out = Command::new(BIN)
+        .args([
+            "workload:field",
+            "-m",
+            "baseline",
+            "--mem-latency",
+            "199999",
+        ])
+        .arg("--stats-json")
+        .arg(&stats)
+        .output()
+        .expect("run spear-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "exit code: {stderr}");
+    assert!(
+        stderr.contains("memory latency 199999 is too long"),
+        "{stderr}"
+    );
+    assert!(!stats.exists(), "no output before the check");
+    let _ = std::fs::remove_dir_all(&dir);
 }

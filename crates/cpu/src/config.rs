@@ -208,6 +208,27 @@ impl CoreConfig {
         }
     }
 
+    /// Reject memory latencies under which one L1 + L2 + main-memory
+    /// miss takes more than a quarter of the core's deadlock watchdog
+    /// window. Between two main-thread commits the oldest instruction
+    /// waits on at most an instruction-fetch miss and a data miss, so
+    /// under this bound a slow but live pipeline is never reported as
+    /// deadlocked; a longer latency is refused before anything runs.
+    pub fn check_latency(&self) -> Result<(), String> {
+        let l = self.hier.latency;
+        let miss = u64::from(l.l1_hit) + u64::from(l.l2_hit) + u64::from(l.memory);
+        let watchdog = crate::core::DEADLOCK_CYCLES;
+        if miss > watchdog / 4 {
+            return Err(format!(
+                "memory latency {} is too long: one L1+L2+memory miss takes {miss} cycles, \
+                 more than {} (a quarter of the core's {watchdog}-cycle deadlock watchdog)",
+                l.memory,
+                watchdog / 4
+            ));
+        }
+        Ok(())
+    }
+
     /// Human-readable name used in reports.
     pub fn model_name(&self) -> String {
         match (&self.spear, self.separate_fu) {
@@ -227,6 +248,21 @@ mod tests {
         assert_eq!(CoreConfig::baseline().model_name(), "superscalar");
         assert_eq!(CoreConfig::spear(128).model_name(), "SPEAR-128");
         assert_eq!(CoreConfig::spear_sf(256).model_name(), "SPEAR.sf-256");
+    }
+
+    #[test]
+    fn latency_check_admits_misses_within_a_quarter_of_the_watchdog() {
+        let at = |memory: u32| {
+            let mut cfg = CoreConfig::spear(128);
+            cfg.hier.latency = spear_mem::LatencyConfig::sweep_point(memory);
+            cfg.check_latency()
+        };
+        assert_eq!(CoreConfig::baseline().check_latency(), Ok(()));
+        // sweep_point(m) misses take 1 + m/10 + m cycles; 50_000 is the cap.
+        assert_eq!(at(45_454), Ok(()));
+        let err = at(45_455).unwrap_err();
+        assert!(err.contains("memory latency 45455 is too long"), "{err}");
+        assert!(at(u32::MAX).is_err(), "no overflow at the largest latency");
     }
 
     #[test]

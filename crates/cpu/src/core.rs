@@ -76,7 +76,10 @@ pub struct RunResult {
     pub stats: CoreStats,
 }
 
-const DEADLOCK_CYCLES: u64 = 200_000;
+/// Cycles without a main-thread commit after which the core reports a
+/// deadlock (see [`CoreConfig::check_latency`] for the latencies this
+/// window admits).
+pub(crate) const DEADLOCK_CYCLES: u64 = 200_000;
 
 /// The simulator: shared pipeline state plus the front-end extension
 /// driving its speculative contexts.

@@ -5,25 +5,40 @@
 
 use spear_cpu::{CoreConfig, RunExit};
 use spear_repro::campaign::{Campaign, CampaignSpec, MachinePoint, SampleSpec};
-use spear_repro::spear::experiments::{compile_all, fig6};
+use spear_repro::spear::experiments::{fig6, IpcMatrix};
 use spear_repro::spear::export::StatsExport;
 use spear_repro::spear::report;
-use spear_repro::spear::runner::run_one;
+use spear_repro::spear::runner::{compile_workload, run_one};
 use spear_workloads::by_name;
+
+/// Figure 6 over `names` as a whole-program campaign in a fresh
+/// directory tagged `tag`.
+fn whole_program_fig6(tag: &str, names: &[&str]) -> IpcMatrix {
+    let dir = std::env::temp_dir().join(format!("spear-det-fig6-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+    let m = fig6(&names, &dir).expect("fig6 campaign");
+    let _ = std::fs::remove_dir_all(&dir);
+    m
+}
 
 #[test]
 fn matrix_runs_are_bit_identical() {
-    let ws = vec![by_name("field").unwrap(), by_name("mcf").unwrap()];
-    let c1 = compile_all(&ws);
-    let c2 = compile_all(&ws);
-    assert_eq!(c1.tables, c2.tables, "compilation is deterministic");
+    for name in ["field", "mcf"] {
+        let w = by_name(name).unwrap();
+        assert_eq!(
+            compile_workload(&w).0,
+            compile_workload(&w).0,
+            "compilation is deterministic"
+        );
+    }
 
-    let m1 = fig6(&c1);
-    let m2 = fig6(&c2);
+    let m1 = whole_program_fig6("a", &["field", "mcf"]);
+    let m2 = whole_program_fig6("b", &["field", "mcf"]);
     for r in 0..m1.workloads.len() {
-        for c in 0..m1.machines.len() {
-            let s1 = &m1.outcomes[r][c].stats;
-            let s2 = &m2.outcomes[r][c].stats;
+        for c in 0..m1.points.len() {
+            let s1 = &m1.stats[r][c];
+            let s2 = &m2.stats[r][c];
             assert_eq!(s1.cycles, s2.cycles, "{} col {c}", m1.workloads[r]);
             assert_eq!(s1.committed, s2.committed);
             assert_eq!(s1.l1d_main_misses, s2.l1d_main_misses);
@@ -41,14 +56,10 @@ fn matrix_runs_are_bit_identical() {
 #[test]
 fn stats_json_is_byte_identical_across_runs() {
     let w = by_name("field").unwrap();
-    let compiled = compile_all(std::slice::from_ref(&w));
+    let (table, _) = compile_workload(&w);
     let machine = spear_repro::spear::Machine::Spear128;
-    let j1 = run_one(&w, &compiled.tables[0], machine, None)
-        .export()
-        .to_json();
-    let j2 = run_one(&w, &compiled.tables[0], machine, None)
-        .export()
-        .to_json();
+    let j1 = run_one(&w, &table, machine, None).export().to_json();
+    let j2 = run_one(&w, &table, machine, None).export().to_json();
     assert_eq!(j1, j2, "stats-json must be byte-identical across runs");
     // And the document round-trips through the versioned schema.
     let doc = StatsExport::from_json(&j1).expect("valid envelope");
@@ -114,9 +125,7 @@ fn campaign_stats_json_identical_across_thread_counts() {
 
 #[test]
 fn reports_render_all_rows() {
-    let ws = vec![by_name("field").unwrap()];
-    let compiled = compile_all(&ws);
-    let m = fig6(&compiled);
+    let m = whole_program_fig6("render", &["field"]);
     let text = report::ipc_matrix(&m);
     assert!(text.contains("field"));
     assert!(text.contains("AVERAGE"));
