@@ -1,5 +1,9 @@
-//! Experiment runner: compile workloads with the SPEAR post-compiler and
-//! simulate them on the evaluation machines, in parallel.
+//! Single runs: compile a workload with the SPEAR post-compiler and
+//! simulate it whole on one machine configuration. The paper's figures
+//! run as campaigns (see `crate::experiments`); these runs are the
+//! reference the figure equivalence test compares them against, and
+//! serve the examples that vary what no campaign axis covers, such as
+//! the compiler configuration.
 
 use crate::machines::Machine;
 use spear_compiler::{CompileReport, CompilerConfig, SpearCompiler};
