@@ -527,7 +527,7 @@ impl Campaign {
                 cell.weight,
                 self.spec.window,
             )
-            .and_then(|res| {
+            .and_then(|(res, _)| {
                 let mut f = sink.lock().expect("a cell worker panicked");
                 writeln!(f, "{}", serde::json::to_string(&res))
                     .and_then(|_| f.flush())
@@ -794,20 +794,15 @@ pub fn workload_timings(results: &[CellResult]) -> Vec<WorkloadTiming> {
     out
 }
 
-/// Phase 1 for one shard: compile the workload's p-thread table against
-/// the profiling input, attach it to the evaluation image, and capture
-/// warm checkpoints at every sampled interval boundary. The warmer trains
-/// `bpred_cfg`'s predictor, so the checkpoints restore only into cores
-/// configured with the same spec. When the shard carries a trace, the
-/// workload's committed path is also recorded (or fetched from `traces`)
-/// so trace-backed cells can replay it.
+/// Phase 1 for one named workload: compile its p-thread table against
+/// the profiling input, attach it to the evaluation image, and prepare
+/// the shard from that binary (see [`prepare_shard`]).
 fn prepare_workload(
     key: &ShardKey,
     bpred_cfg: spear_bpred::PredictorConfig,
     traces: Option<&TraceCache>,
 ) -> Result<WorkloadData, String> {
     let name = key.workload.as_str();
-    let sample = &key.sample;
     let (w, scale) =
         spear_workloads::by_spec(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
     let profile = w.profile_program();
@@ -815,6 +810,23 @@ fn prepare_workload(
         .compile(&profile)
         .map_err(|e| format!("{name}: compile failed: {e}"))?;
     let binary = SpearCompiler::attach(w.eval_program_scaled(scale), compiled.table);
+    prepare_shard(key, binary, bpred_cfg, traces)
+}
+
+/// Phase 1 for one compiled binary: capture warm checkpoints at every
+/// sampled interval boundary of `key`'s plan. The warmer trains
+/// `bpred_cfg`'s predictor, so the checkpoints restore only into cores
+/// configured with the same spec. When the shard carries a trace, the
+/// binary's committed path is also recorded (or fetched from `traces`,
+/// keyed by the workload name) so trace-backed cells can replay it.
+pub fn prepare_shard(
+    key: &ShardKey,
+    binary: SpearBinary,
+    bpred_cfg: spear_bpred::PredictorConfig,
+    traces: Option<&TraceCache>,
+) -> Result<WorkloadData, String> {
+    let name = key.workload.as_str();
+    let sample = &key.sample;
     // The cache substrate is machine-independent (Table 2 geometry is
     // shared by every evaluated model), so these checkpoints serve all
     // (machine, latency) points that share the predictor spec.
@@ -899,14 +911,16 @@ fn prepare_workload(
 /// Phase 2 for one cell: restore the interval's checkpoint into a fresh
 /// core — program-driven or replaying the recorded trace from the
 /// checkpoint's cursor — and simulate the interval's instruction budget.
-fn run_cell(
-    wd: &WorkloadData,
+/// Returns the finished core with the result, so a caller can inspect
+/// its final architectural and cache state.
+pub fn run_cell<'a>(
+    wd: &'a WorkloadData,
     point: &MachinePoint,
     frontend: &str,
     interval: Interval,
     weight: u64,
     window: Option<u64>,
-) -> Result<CellResult, String> {
+) -> Result<(CellResult, Core<'a>), String> {
     debug_assert_eq!(
         wd.bpred,
         point.config.bpred.spec_label(),
@@ -944,7 +958,7 @@ fn run_cell(
             wd.name, point.machine, interval.index
         ));
     }
-    Ok(CellResult {
+    let cell = CellResult {
         schema_version: CELL_SCHEMA_VERSION,
         workload: wd.name.clone(),
         machine: point.machine.clone(),
@@ -958,7 +972,8 @@ fn run_cell(
         exit: res.exit,
         wall_ms: t0.elapsed().as_millis() as u64,
         stats: res.stats,
-    })
+    };
+    Ok((cell, core))
 }
 
 /// All available cores (4 when the count is unknown).

@@ -39,16 +39,17 @@ pub mod spec;
 
 pub use cache::{record_trace, ApproxBytes, Lru, LruStats, ShardCache, TraceCache};
 pub use checkpoint::{
-    capture_checkpoints_at, capture_interval_checkpoints, Checkpoint, CheckpointSet, Warmer,
+    capture_checkpoints_at, capture_interval_checkpoints, Checkpoint, CheckpointSet,
 };
 pub use engine::{
-    eta_ms, parallel_map, workload_timings, write_aggregate_envelopes, write_heartbeat, Campaign,
-    CellResult, HeartbeatDoc, ProgressSnapshot, RunOptions, RunSummary, WorkloadData,
-    WorkloadTiming,
+    eta_ms, parallel_map, prepare_shard, run_cell, workload_timings, write_aggregate_envelopes,
+    write_heartbeat, Campaign, CellResult, HeartbeatDoc, ProgressSnapshot, RunOptions, RunSummary,
+    WorkloadData, WorkloadTiming,
 };
-pub use sample::{aggregate, plan_intervals, simpoint_plan, Aggregate, Interval, SampleSpec};
+pub use sample::{aggregate, plan_intervals, Aggregate, Interval, SampleSpec};
 pub use spec::{
-    CampaignSpec, CellKey, JobSpec, MachinePoint, ShardKey, SimpointSpec, CELL_SCHEMA_VERSION,
+    check_trace_machine, CampaignSpec, CellKey, JobSpec, MachinePoint, ShardKey, SimpointSpec,
+    CELL_SCHEMA_VERSION,
 };
 
 #[cfg(test)]

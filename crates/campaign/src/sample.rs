@@ -85,7 +85,7 @@ pub fn plan_intervals(total_insts: u64, spec: &SampleSpec) -> Vec<Interval> {
 /// per phase, carrying the phase's population count as its aggregation
 /// weight, ascending by start instruction (the order a warming pass
 /// captures checkpoints in).
-pub fn simpoint_plan(bbvs: &[BbvInterval], clustering: &Clustering) -> Vec<(Interval, u64)> {
+pub(crate) fn simpoint_plan(bbvs: &[BbvInterval], clustering: &Clustering) -> Vec<(Interval, u64)> {
     let mut plan: Vec<(Interval, u64)> = clustering
         .representatives
         .iter()

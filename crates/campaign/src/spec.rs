@@ -104,7 +104,8 @@ pub struct CampaignSpec {
     /// Empty normalizes to `["program"]`, the historical behavior.
     /// `trace` cells replay a recorded committed path instead of
     /// executing semantics; the trace is recorded once per workload
-    /// during the prepare phase (or fetched from a trace cache).
+    /// during the prepare phase (or fetched from a trace cache). Only
+    /// baseline machines take `trace` (see [`check_trace_machine`]).
     pub frontends: Vec<String>,
     /// Interval sampling parameters.
     pub sample: SampleSpec,
@@ -179,6 +180,11 @@ impl CampaignSpec {
                 return Err(format!("front end `{f}` listed more than once"));
             }
         }
+        if frontends.iter().any(|f| f == "trace") {
+            for p in &self.points {
+                check_trace_machine(&p.machine, &p.config)?;
+            }
+        }
         if self.simpoint.is_some() {
             // Windowed telemetry is a cycle partition of one run and
             // cannot be weight-blended across phase representatives.
@@ -199,7 +205,7 @@ impl CampaignSpec {
     }
 
     /// The shard-cache key of `workload` warmed under predictor `bpred`.
-    pub(crate) fn shard_key(&self, workload: &str, bpred: &str) -> ShardKey {
+    pub fn shard_key(&self, workload: &str, bpred: &str) -> ShardKey {
         ShardKey {
             workload: workload.to_string(),
             bpred: bpred.to_string(),
@@ -229,6 +235,22 @@ impl CampaignSpec {
             window: self.window,
             simpoint: self.simpoint.map(|s| s.label()),
         }
+    }
+}
+
+/// Refuse a SPEAR machine under the `trace` front end. Replay carries no
+/// register values, so a SPEAR machine's p-thread live-in copies read
+/// restored rather than recomputed values and its timing departs from
+/// the `program` front end's; only the baseline replays exactly. The
+/// campaign validator and the single-run flag parser both apply this.
+pub fn check_trace_machine(machine: &str, config: &CoreConfig) -> Result<(), String> {
+    match config.spear {
+        Some(_) => Err(format!(
+            "the `trace` front end cannot drive SPEAR machine `{machine}`: replay carries \
+             no register values, so its timing would differ from the `program` front end \
+             (trace replay needs a baseline machine)"
+        )),
+        None => Ok(()),
     }
 }
 
@@ -550,7 +572,7 @@ mod tests {
             workloads: vec!["pointer".into()],
             machines: vec!["baseline".into(), "spear-128".into()],
             bpreds: vec!["bimodal".into(), "tage".into()],
-            frontends: vec!["program".into(), "trace".into()],
+            frontends: vec!["program".into()],
             ..JobSpec::default()
         };
         let resolved = spec.resolve(2).unwrap();
@@ -570,7 +592,7 @@ mod tests {
             want.map(|(m, b)| (m.to_string(), b.to_string())),
             "machines x bpreds"
         );
-        assert_eq!(resolved.frontends, vec!["program", "trace"]);
+        assert_eq!(resolved.frontends, vec!["program"]);
     }
 
     #[test]

@@ -277,9 +277,21 @@ fn campaign_main(args: Vec<String>) -> ! {
             exit(exitcode::RUNTIME)
         });
 
+    if summary.interrupted {
+        println!(
+            "campaign interrupted after {} cells ({}/{} done); rerun to resume",
+            summary.executed,
+            summary.executed + summary.skipped,
+            summary.total_cells
+        );
+        exit(exitcode::INTERRUPTED)
+    }
+
     // One versioned stats envelope per aggregate, same schema as
     // `--stats-json`, under <dir>/aggregates/ — via the same writer the
     // campaign server uses, so CLI and served output stay byte-identical.
+    // Like the server, only a complete campaign writes them: an
+    // envelope summed over part of the cells would look like a whole one.
     let aggs = summary.aggregates();
     let agg_dir = std::path::Path::new(&dir).join("aggregates");
     spear_campaign::write_aggregate_envelopes(
@@ -291,23 +303,13 @@ fn campaign_main(args: Vec<String>) -> ! {
         eprintln!("spear-sim: {e}");
         exit(exitcode::RUNTIME)
     });
-
-    if summary.interrupted {
-        println!(
-            "campaign interrupted after {} cells ({}/{} done); rerun to resume",
-            summary.executed,
-            summary.executed + summary.skipped,
-            summary.total_cells
-        );
-    } else {
-        println!(
-            "campaign complete: {} cells ({} executed now, {} resumed) in {}",
-            summary.total_cells,
-            summary.executed,
-            summary.skipped,
-            report_ms(summary.elapsed_ms)
-        );
-    }
+    println!(
+        "campaign complete: {} cells ({} executed now, {} resumed) in {}",
+        summary.total_cells,
+        summary.executed,
+        summary.skipped,
+        report_ms(summary.elapsed_ms)
+    );
     if !quiet {
         println!("\nper-workload simulation time:");
         print!("{}", report::campaign_timings(&summary.timings));
@@ -329,11 +331,7 @@ fn campaign_main(args: Vec<String>) -> ! {
             );
         }
     }
-    exit(if summary.interrupted {
-        exitcode::INTERRUPTED
-    } else {
-        exitcode::OK
-    })
+    exit(exitcode::OK)
 }
 
 /// The `serve` subcommand: run the resident campaign server (see
@@ -771,6 +769,10 @@ fn main() {
                 eprintln!("spear-sim: --frontend expects `program` or `trace:FILE`, got `{spec}`");
                 usage()
             };
+            if let Err(e) = spear_campaign::check_trace_machine(machine.name(), &cfg) {
+                eprintln!("spear-sim: {e}");
+                exit(exitcode::USAGE)
+            }
             let bytes = std::fs::read(path).unwrap_or_else(|e| {
                 eprintln!("spear-sim: cannot read trace `{path}`: {e}");
                 exit(exitcode::RUNTIME)

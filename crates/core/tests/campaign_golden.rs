@@ -6,8 +6,8 @@
 //! its byte length and a 64-bit FNV-1a digest, stored in
 //! `golden/campaign_digests.txt`:
 //!
-//! * `stride` — two workloads × two machines × two predictors × both
-//!   front ends, stride-2 sampled;
+//! * `stride` — two workloads × two machines × two predictors on the
+//!   program front end, stride-2 sampled;
 //! * `simpoint` — three workloads × three machines under `--simpoint-k 3`.
 //!
 //! Per run, every `aggregates/*.json` envelope and `manifest.json` are
@@ -36,7 +36,7 @@ const STRIDE_ARGS: [&str; 15] = [
     "--bpreds",
     "bimodal,tage",
     "--frontends",
-    "program,trace",
+    "program",
     "--interval",
     "20000",
     "--stride",
@@ -188,7 +188,9 @@ fn campaign_outputs_match_golden_digests() {
 }
 
 /// `--max-cells` is an exact budget even with several workers racing for
-/// cells: the run stops resumably (exit 4) with exactly that many records.
+/// cells: the run stops resumably (exit 4) with exactly that many records,
+/// and writes no aggregate envelopes, since a sum over part of the cells
+/// would look like a complete one.
 #[test]
 fn max_cells_stops_with_exactly_that_many_records() {
     let dir = temp_dir("max-cells");
@@ -196,5 +198,9 @@ fn max_cells_stops_with_exactly_that_many_records() {
     assert_eq!(code, 4, "interrupted campaign exit code: {stderr}");
     let cells = std::fs::read_to_string(dir.join("cells.jsonl")).expect("cells.jsonl written");
     assert_eq!(cells.lines().count(), 3, "{cells}");
+    assert!(
+        !dir.join("aggregates").exists(),
+        "an interrupted campaign wrote aggregates/"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

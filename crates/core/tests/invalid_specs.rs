@@ -4,7 +4,8 @@
 //! returns `Err` before creating its directory — each with the same
 //! diagnostic, because all three reach the one `CampaignSpec::validate`.
 
-use spear_campaign::{Campaign, CampaignSpec, JobSpec, SimpointSpec};
+use spear_campaign::{Campaign, CampaignSpec, JobSpec, MachinePoint, SimpointSpec};
+use spear_cpu::machine::Machine;
 use spear_serve::{client, ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::Command;
@@ -52,6 +53,18 @@ const CASES: &[Case] = &[
         job: |j| j.frontends = vec!["trace".into(), "trace".into()],
         engine: Some(|s| s.frontends = vec!["trace".into(), "trace".into()]),
         needle: "front end `trace` listed more than once",
+    },
+    Case {
+        what: "SPEAR machine under the trace front end",
+        job: |j| {
+            j.machines = vec!["spear-128".into()];
+            j.frontends = vec!["trace".into()];
+        },
+        engine: Some(|s| {
+            s.points = vec![MachinePoint::of(Machine::Spear128, None)];
+            s.frontends = vec!["trace".into()];
+        }),
+        needle: "the `trace` front end cannot drive SPEAR machine `SPEAR-128`",
     },
     Case {
         what: "simpoint with a window",
@@ -256,4 +269,28 @@ fn single_run_rejects_a_memory_latency_past_the_deadlock_watchdog() {
     );
     assert!(!stats.exists(), "no output before the check");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The single-run parser refuses a SPEAR machine under `--frontend
+/// trace:FILE` before it reads the trace: the file does not exist, so
+/// reading it would have been a runtime error (exit 3), not exit 2.
+#[test]
+fn single_run_rejects_a_spear_machine_under_the_trace_front_end() {
+    let out = Command::new(BIN)
+        .args([
+            "workload:field",
+            "-m",
+            "spear-128",
+            "--frontend",
+            "trace:/nonexistent/field.spt",
+            "--quiet",
+        ])
+        .output()
+        .expect("run spear-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "exit code: {stderr}");
+    assert!(
+        stderr.contains("the `trace` front end cannot drive SPEAR machine `SPEAR-128`"),
+        "{stderr}"
+    );
 }

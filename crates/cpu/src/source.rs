@@ -25,7 +25,7 @@
 //!   readback.
 //!
 //! The oracle's per-instruction cursor is the committed-instruction
-//! index, which is what checkpoint format v4 snapshots so a trace-backed
+//! index, which a checkpoint records as `trace_cursor` so a trace-backed
 //! campaign cell can resume replay mid-stream.
 
 use crate::core::SimError;

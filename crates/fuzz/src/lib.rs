@@ -7,12 +7,12 @@
 //!   targets (pointer chases, strided sweeps, gathers over a 1 MiB
 //!   array) plus branches, calls, and sub-word store/load overlap;
 //! * [`oracle`] — the architectural-equivalence judge: golden
-//!   interpreter vs the cycle-level core across baseline/SPEAR front
-//!   ends, 2/4 hardware contexts, the three Figure-6 machines, and
-//!   sampled-vs-full checkpointed simulation, with structural invariants
-//!   (exact CPI-stack slots, prefetch partition, cache tag-store
-//!   well-formedness) and a mid-run checkpoint capture → restore →
-//!   continue;
+//!   interpreter vs the campaign engine's own cells over one table of
+//!   validated configurations (the three Figure-6 machines with 2/4
+//!   hardware contexts and TAGE, mid-run and strided checkpoints,
+//!   SimPoint, and baseline trace replay), with structural invariants
+//!   (exact CPI-stack slots, prefetch partition, window partition,
+//!   cache tag-store well-formedness) on every cell;
 //! * [`shrink`] + [`corpus`] — ddmin-style minimization of any failure
 //!   into a small reproducer stored as JSON under `tests/corpus/`,
 //!   replayed forever after as a regression test.
