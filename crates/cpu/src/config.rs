@@ -156,15 +156,8 @@ pub struct CoreConfig {
     pub spear: Option<SpearConfig>,
     /// `.sf` models: give the p-thread its own copy of the functional
     /// units and memory ports (the CMP-like configuration of Figure 7).
-    /// With more than two contexts, every speculative context gets its
-    /// own pool.
+    /// Otherwise the main program and the p-thread share one pool.
     pub separate_fu: bool,
-    /// Hardware contexts (each a full [`crate::ctx::HwContext`]: register
-    /// file, rename table, RUU order, store queue). Context 0 is the main
-    /// program; context 1 runs the SPEAR p-thread. The paper's SMT
-    /// machine is the 2-context configuration; extra contexts are idle
-    /// spares until a front end drives them.
-    pub num_contexts: usize,
 }
 
 impl CoreConfig {
@@ -187,7 +180,6 @@ impl CoreConfig {
             hier: HierConfig::paper(),
             spear: None,
             separate_fu: false,
-            num_contexts: 2,
         }
     }
 
@@ -271,13 +263,6 @@ mod tests {
         assert_eq!(l.for_class(FuClass::IntAlu, false), 1);
         assert_eq!(l.for_class(FuClass::FpDiv, true), 24);
         assert_eq!(l.for_class(FuClass::FpDiv, false), 12);
-    }
-
-    #[test]
-    fn paper_machines_are_two_context() {
-        assert_eq!(CoreConfig::baseline().num_contexts, 2);
-        assert_eq!(CoreConfig::spear(128).num_contexts, 2);
-        assert_eq!(CoreConfig::spear_sf(256).num_contexts, 2);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub struct RunResult {
 pub(crate) const DEADLOCK_CYCLES: u64 = 200_000;
 
 /// The simulator: shared pipeline state plus the front-end extension
-/// driving its speculative contexts.
+/// driving its p-thread context.
 pub struct Core<'p> {
     pipe: Pipeline<'p>,
     fe: Box<dyn FrontEndExt + 'p>,
@@ -109,17 +109,11 @@ impl<'p> Core<'p> {
         source: Box<dyn crate::source::ExecSource + 'p>,
     ) -> Core<'p> {
         let fe: Box<dyn FrontEndExt + 'p> = match cfg.spear {
-            Some(sp) => {
-                assert!(
-                    cfg.num_contexts > PTHREAD_CTX.0,
-                    "the SPEAR front end needs a speculative context"
-                );
-                Box::new(SpearFrontEnd::new(
-                    sp,
-                    &binary.table.entries,
-                    binary.program.len(),
-                ))
-            }
+            Some(sp) => Box::new(SpearFrontEnd::new(
+                sp,
+                &binary.table.entries,
+                binary.program.len(),
+            )),
             None => Box::new(BaselineFrontEnd),
         };
         let is_spear = cfg.spear.is_some();
@@ -284,10 +278,7 @@ impl<'p> Core<'p> {
 
     /// P-thread-context RUU occupancy.
     pub fn pthread_ruu_len(&self) -> usize {
-        self.pipe
-            .ctxs
-            .get(PTHREAD_CTX.0)
-            .map_or(0, |c| c.order.len())
+        self.pipe.ctxs[PTHREAD_CTX.0].order.len()
     }
 
     /// Short name of the front-end state ("normal", or the active phase

@@ -4,9 +4,9 @@
 //! *spare hardware context* (§3): its own register file, rename table,
 //! reorder buffer, and store isolation, sharing the fetch/decode/issue
 //! bandwidth and the cache hierarchy with the main program. [`HwContext`]
-//! is that replicated per-context state; the machine holds one per
-//! configured context ([`crate::config::CoreConfig::num_contexts`],
-//! 2 in every paper configuration) and every RUU entry carries the
+//! is that replicated per-context state. The machine has exactly two:
+//! [`MAIN_CTX`] runs the program and [`PTHREAD_CTX`] runs the SPEAR
+//! p-thread (idle on the baseline). Every RUU entry carries the
 //! [`CtxId`] it belongs to.
 
 use crate::overlay::Overlay;
@@ -15,15 +15,15 @@ use spear_exec::RegFile;
 use spear_isa::reg::NUM_REGS;
 use std::collections::{BTreeSet, VecDeque};
 
-/// Index of a hardware context. Context 0 is always the main
-/// (architectural) program; higher contexts are speculative.
+/// Index of a hardware context: [`MAIN_CTX`] (the architectural
+/// program) or [`PTHREAD_CTX`] (speculative).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CtxId(pub usize);
 
 /// The main program's context.
 pub const MAIN_CTX: CtxId = CtxId(0);
 
-/// The context the SPEAR front end runs p-threads on (the first spare).
+/// The context the SPEAR front end runs p-threads on.
 pub const PTHREAD_CTX: CtxId = CtxId(1);
 
 impl CtxId {
@@ -43,13 +43,11 @@ impl std::fmt::Display for CtxId {
 ///
 /// The main context's `regs` are the *dispatch-order* register file
 /// (execute-at-dispatch oracle state); commit-order state lives in the
-/// pipeline's `commit_regs`. Speculative contexts additionally isolate
-/// their stores in a private byte `overlay` so they can only prefetch,
-/// never change semantic state.
+/// pipeline's `commit_regs`. The p-thread context additionally isolates
+/// its stores in a private byte `overlay` so it can only prefetch, never
+/// change semantic state.
 #[derive(Clone, Debug)]
 pub struct HwContext {
-    /// This context's id (its index in the pipeline's context vector).
-    pub id: CtxId,
     /// The context's register file.
     pub regs: RegFile,
     /// Register rename map: architectural register → youngest in-flight
@@ -62,16 +60,15 @@ pub struct HwContext {
     pub stores: Vec<(SeqId, u64, usize)>,
     /// This context's RUU in dispatch order (head = oldest).
     pub order: VecDeque<SeqId>,
-    /// Private store overlay (speculative contexts only; the main
+    /// Private store overlay (the p-thread context only; the main
     /// context writes the shared memory image at dispatch instead).
     pub overlay: Overlay,
 }
 
-impl HwContext {
+impl Default for HwContext {
     /// A fresh, empty context.
-    pub fn new(id: CtxId) -> HwContext {
+    fn default() -> HwContext {
         HwContext {
-            id,
             regs: RegFile::new(),
             rename: [None; NUM_REGS],
             ready: BTreeSet::new(),
@@ -80,7 +77,9 @@ impl HwContext {
             overlay: Overlay::new(),
         }
     }
+}
 
+impl HwContext {
     /// Reset the speculative state a front end re-seeds per episode
     /// (registers, rename map, store overlay). In-flight bookkeeping
     /// (`ready`/`stores`/`order`) is left to the pipeline.
@@ -98,7 +97,7 @@ mod tests {
     #[test]
     fn reset_clears_episode_state_only() {
         let id = SeqId { seq: 1, slot: 0 };
-        let mut c = HwContext::new(PTHREAD_CTX);
+        let mut c = HwContext::default();
         c.regs.write_u64(spear_isa::reg::R5, 7);
         c.rename[5] = Some(SeqId { seq: 42, slot: 3 });
         c.overlay.insert(0x10, 9);

@@ -22,7 +22,7 @@ pub struct PreDecode {
     pub dload: bool,
 }
 
-/// A front-end extension driving speculative contexts.
+/// A front-end extension driving the p-thread context.
 ///
 /// Hook order within one cycle (see `Core::step_cycle`): `update` runs
 /// between writeback and issue; `extract` runs between issue and
@@ -40,7 +40,7 @@ pub trait FrontEndExt {
     /// Per-cycle state-machine update, between writeback and issue.
     fn update(&mut self, pipe: &mut Pipeline);
 
-    /// Extraction step: dispatch instructions into speculative contexts,
+    /// Extraction step: dispatch instructions into the p-thread context,
     /// sharing decode bandwidth with the main thread.
     fn extract(&mut self, pipe: &mut Pipeline) -> DecodePort;
 
@@ -51,7 +51,7 @@ pub trait FrontEndExt {
     /// A branch-misprediction recovery flushed the IFQ.
     fn on_flush(&mut self, pipe: &mut Pipeline);
 
-    /// A speculative context retired `entry` from its RUU.
+    /// The p-thread context retired `entry` from its RUU.
     fn on_ctx_retired(&mut self, pipe: &mut Pipeline, entry: &RuuEntry);
 
     /// End-of-run harvest of the per-d-load effectiveness profiles,
@@ -64,7 +64,7 @@ pub trait FrontEndExt {
 }
 
 /// The baseline superscalar's front end: no marking, no triggers, no
-/// speculative contexts. Every hook is a no-op.
+/// p-thread. Every hook is a no-op.
 pub struct BaselineFrontEnd;
 
 impl FrontEndExt for BaselineFrontEnd {

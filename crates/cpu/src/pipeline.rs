@@ -2,12 +2,12 @@
 //!
 //! [`Pipeline`] owns everything the machine's stages touch: the front
 //! end (predictor, IFQ, fetch cursor), the functional state (memory
-//! image, commit-order registers), the backend (RUU entries, the
-//! per-context [`HwContext`] vector, functional-unit pools, the cache
-//! hierarchy), and the inter-stage latches. The stage modules in
-//! [`crate::stage`] are free functions over this struct; front-end
-//! extensions ([`crate::frontend::FrontEndExt`]) receive `&mut Pipeline`
-//! at their hook points.
+//! image, commit-order registers), the backend (RUU entries, the two
+//! [`HwContext`]s, functional-unit pools, the cache hierarchy), and the
+//! inter-stage latches. The stage modules in [`crate::stage`] are free
+//! functions over this struct; front-end extensions
+//! ([`crate::frontend::FrontEndExt`]) receive `&mut Pipeline` at their
+//! hook points.
 
 use crate::config::CoreConfig;
 use crate::ctx::{CtxId, HwContext, MAIN_CTX};
@@ -127,13 +127,14 @@ pub struct Pipeline<'p> {
     /// All in-flight RUU entries (every context), in a generational
     /// slab with intrusive per-entry consumer lists (wakeup edges).
     pub ruu: Ruu,
-    /// The hardware contexts; index 0 is the main program.
-    pub ctxs: Vec<HwContext>,
-    /// Functional-unit pools. Shared-FU machines have one pool; `.sf`
-    /// machines give every context its own (see `ctx_pool`).
-    pub pools: Vec<FuPool>,
-    /// Context index → pool index.
-    pub ctx_pool: Vec<usize>,
+    /// The two hardware contexts, indexed by [`MAIN_CTX`] and
+    /// [`crate::ctx::PTHREAD_CTX`].
+    pub ctxs: [HwContext; 2],
+    /// The functional-unit pool: the main program's, and the p-thread's
+    /// too unless the machine is `.sf`.
+    pub pool: FuPool,
+    /// The p-thread's own pool on `.sf` machines (`separate_fu`).
+    pub pthread_pool: Option<FuPool>,
     /// The cache hierarchy.
     pub hier: spear_mem::Hierarchy,
     /// Completion calendar: `(complete_at, id)` pushed at issue, popped
@@ -191,16 +192,6 @@ impl<'p> Pipeline<'p> {
         source: Box<dyn ExecSource + 'p>,
         cfg: CoreConfig,
     ) -> Pipeline<'p> {
-        assert!(cfg.num_contexts >= 1, "a machine needs a main context");
-        let n = cfg.num_contexts;
-        let (pools, ctx_pool) = if cfg.separate_fu {
-            (
-                (0..n).map(|_| FuPool::new(&cfg)).collect(),
-                (0..n).collect(),
-            )
-        } else {
-            (vec![FuPool::new(&cfg)], vec![0; n])
-        };
         Pipeline {
             predictor: Predictor::new(cfg.bpred),
             ifq: Ifq::new(cfg.ifq_size),
@@ -213,9 +204,9 @@ impl<'p> Pipeline<'p> {
             commit_regs: RegFile::new(),
             mem: Memory::from_image(&program.data),
             ruu: Ruu::new(),
-            ctxs: (0..n).map(|i| HwContext::new(CtxId(i))).collect(),
-            pools,
-            ctx_pool,
+            ctxs: Default::default(),
+            pool: FuPool::new(&cfg),
+            pthread_pool: cfg.separate_fu.then(|| FuPool::new(&cfg)),
             hier: spear_mem::Hierarchy::new(cfg.hier),
             exec_done: BinaryHeap::new(),
             issue_latch: IssueLatch::default(),
@@ -239,14 +230,12 @@ impl<'p> Pipeline<'p> {
         &self.ctxs[MAIN_CTX.0]
     }
 
-    /// The main context, mutably.
-    pub fn main_ctx_mut(&mut self) -> &mut HwContext {
-        &mut self.ctxs[MAIN_CTX.0]
-    }
-
     /// The functional-unit pool serving context `ctx`.
     pub fn pool_mut(&mut self, ctx: CtxId) -> &mut FuPool {
-        &mut self.pools[self.ctx_pool[ctx.0]]
+        match &mut self.pthread_pool {
+            Some(own) if !ctx.is_main() => own,
+            _ => &mut self.pool,
+        }
     }
 
     /// Reserve the next sequence number. Fetch and dispatch share the

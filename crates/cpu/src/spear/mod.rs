@@ -23,7 +23,7 @@ mod view;
 pub use view::PthreadView;
 
 use crate::config::SpearConfig;
-use crate::ctx::{CtxId, MAIN_CTX, PTHREAD_CTX};
+use crate::ctx::{MAIN_CTX, PTHREAD_CTX};
 use crate::frontend::{FrontEndExt, PreDecode};
 use crate::ifq::IfqEntry;
 use crate::pipeline::{EState, Pipeline, RuuEntry};
@@ -83,8 +83,6 @@ struct EpisodeTally {
 /// context [`PTHREAD_CTX`].
 pub struct SpearFrontEnd<'p> {
     cfg: SpearConfig,
-    /// The speculative context p-threads run on.
-    ctx: CtxId,
     pt_entries: &'p [PThreadEntry],
     /// Per-PC: bit set if the PC is in any p-thread member set.
     marked_pcs: Vec<bool>,
@@ -127,7 +125,6 @@ impl<'p> SpearFrontEnd<'p> {
         }
         SpearFrontEnd {
             cfg,
-            ctx: PTHREAD_CTX,
             pt_entries: table,
             marked_pcs,
             dload_idx,
@@ -315,9 +312,8 @@ impl<'p> SpearFrontEnd<'p> {
     /// (no fault is ever raised architecturally by the p-thread).
     fn dispatch_pthread(&mut self, pipe: &mut Pipeline, fetched: &IfqEntry, is_trigger: bool) {
         let owner = self.mode_dload_pc();
-        let ctx_idx = self.ctx.0;
         let outcome = {
-            let ctx = &mut pipe.ctxs[ctx_idx];
+            let ctx = &mut pipe.ctxs[PTHREAD_CTX.0];
             let mut view = PthreadView {
                 overlay: &mut ctx.overlay,
                 mem: &pipe.mem,
@@ -351,7 +347,7 @@ impl<'p> SpearFrontEnd<'p> {
         }
         let mut deps: Vec<SeqId> = Vec::new();
         for src in fetched.inst.live_srcs() {
-            if let Some(p) = pipe.ctxs[ctx_idx].rename[src.index()] {
+            if let Some(p) = pipe.ctxs[PTHREAD_CTX.0].rename[src.index()] {
                 if pipe.ruu.get(p).is_some_and(|pe| pe.state != EState::Done) {
                     deps.push(p);
                 }
@@ -360,7 +356,7 @@ impl<'p> SpearFrontEnd<'p> {
         if fetched.inst.op.is_load() {
             if let Some(addr) = eff_addr {
                 let w = fetched.inst.op.mem_width() as u64;
-                for &(sid, saddr, swidth) in &pipe.ctxs[ctx_idx].stores {
+                for &(sid, saddr, swidth) in &pipe.ctxs[PTHREAD_CTX.0].stores {
                     if addr < saddr + swidth as u64 && saddr < addr + w {
                         deps.push(sid);
                     }
@@ -377,7 +373,7 @@ impl<'p> SpearFrontEnd<'p> {
         };
         let id = pipe.ruu.insert(RuuEntry {
             seq,
-            ctx: self.ctx,
+            ctx: PTHREAD_CTX,
             pc: fetched.pc,
             inst: fetched.inst,
             state,
@@ -396,11 +392,11 @@ impl<'p> SpearFrontEnd<'p> {
             episode: self.episode_id,
         });
         if let Some(d) = fetched.inst.dst() {
-            pipe.ctxs[ctx_idx].rename[d.index()] = Some(id);
+            pipe.ctxs[PTHREAD_CTX.0].rename[d.index()] = Some(id);
         }
         if fetched.inst.op.is_store() {
             if let Some(addr) = eff_addr {
-                pipe.ctxs[ctx_idx]
+                pipe.ctxs[PTHREAD_CTX.0]
                     .stores
                     .push((id, addr, fetched.inst.op.mem_width()));
             }
@@ -409,9 +405,9 @@ impl<'p> SpearFrontEnd<'p> {
             pipe.ruu.add_consumer(d, id);
         }
         if state == EState::Ready {
-            pipe.ctxs[ctx_idx].ready.insert(id);
+            pipe.ctxs[PTHREAD_CTX.0].ready.insert(id);
         }
-        pipe.ctxs[ctx_idx].order.push_back(id);
+        pipe.ctxs[PTHREAD_CTX.0].order.push_back(id);
     }
 }
 
@@ -504,7 +500,7 @@ impl FrontEndExt for SpearFrontEnd<'_> {
                         .map(|&r| (r, pipe.freshest_value(r)))
                         .collect();
                     let n = entry.live_ins.len();
-                    let ctx = &mut pipe.ctxs[self.ctx.0];
+                    let ctx = &mut pipe.ctxs[PTHREAD_CTX.0];
                     ctx.reset_spec_state();
                     for (r, v) in vals {
                         ctx.regs.write_u64(r, v);
@@ -539,7 +535,7 @@ impl FrontEndExt for SpearFrontEnd<'_> {
         let pth_cap = self.cfg.pthread_ruu_size;
         let mut used = 0;
         while used < self.cfg.pe_bandwidth {
-            if pipe.ctxs[self.ctx.0].order.len() >= pth_cap {
+            if pipe.ctxs[PTHREAD_CTX.0].order.len() >= pth_cap {
                 break;
             }
             let Some(entry) = pipe.ifq.extract_next_marked() else {
@@ -548,13 +544,12 @@ impl FrontEndExt for SpearFrontEnd<'_> {
             used += 1;
             let is_trigger = entry.seq == dload_seq;
             let pc = entry.pc;
-            let ctx = self.ctx.0;
             self.episode_extracted += 1;
             pipe.emit(|cycle| Event::Extract {
                 cycle,
                 pc,
                 is_trigger,
-                ctx,
+                ctx: PTHREAD_CTX.0,
             });
             self.dispatch_pthread(pipe, &entry, is_trigger);
             if is_trigger {
@@ -674,9 +669,9 @@ impl FrontEndExt for SpearFrontEnd<'_> {
     fn mode_name(&self) -> String {
         match self.mode {
             Mode::Normal => "normal".to_string(),
-            Mode::DrainWait { .. } => format!("drain@{}", self.ctx),
-            Mode::CopyLiveIns { .. } => format!("copy@{}", self.ctx),
-            Mode::PreExec { .. } => format!("preexec@{}", self.ctx),
+            Mode::DrainWait { .. } => format!("drain@{PTHREAD_CTX}"),
+            Mode::CopyLiveIns { .. } => format!("copy@{PTHREAD_CTX}"),
+            Mode::PreExec { .. } => format!("preexec@{PTHREAD_CTX}"),
         }
     }
 }

@@ -1,15 +1,15 @@
 //! Commit: in-order retirement from the commit head, CPI-stack slot
-//! accounting, and speculative-context retirement.
+//! accounting, and p-thread retirement.
 
-use crate::ctx::MAIN_CTX;
+use crate::ctx::{MAIN_CTX, PTHREAD_CTX};
 use crate::frontend::FrontEndExt;
 use crate::pipeline::{EState, Pipeline};
 use crate::stats::StallCause;
 
 /// Retire up to `commit_width` main-context instructions, charge every
 /// unused commit slot to exactly one stall cause, then free completed
-/// speculative-context entries (their "retire" consumes no commit
-/// bandwidth: they write no architectural state).
+/// p-thread entries (their "retire" consumes no commit bandwidth: they
+/// write no architectural state).
 pub fn run(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt) {
     let width = pipe.cfg.commit_width;
     let mut budget = width;
@@ -66,17 +66,15 @@ pub fn run(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt) {
     if halted_now {
         return;
     }
-    // Speculative-context retirement.
-    for i in 1..pipe.ctxs.len() {
-        while let Some(&id) = pipe.ctxs[i].order.front() {
-            if pipe.ruu.get(id).expect("order holds live entries").state != EState::Done {
-                break;
-            }
-            let e = pipe.ruu.remove(id).expect("front entry exists");
-            pipe.ctxs[i].order.pop_front();
-            pipe.retire(&e, false);
-            fe.on_ctx_retired(pipe, &e);
+    // P-thread retirement.
+    while let Some(&id) = pipe.ctxs[PTHREAD_CTX.0].order.front() {
+        if pipe.ruu.get(id).expect("order holds live entries").state != EState::Done {
+            break;
         }
+        let e = pipe.ruu.remove(id).expect("front entry exists");
+        pipe.ctxs[PTHREAD_CTX.0].order.pop_front();
+        pipe.retire(&e, false);
+        fe.on_ctx_retired(pipe, &e);
     }
 }
 

@@ -1,5 +1,6 @@
 //! Issue: ready-entry selection and functional-unit / cache access.
 
+use crate::ctx::PTHREAD_CTX;
 use crate::pipeline::{EState, Pipeline};
 use crate::ruu::SeqId;
 use crate::stage::IssueLatch;
@@ -9,13 +10,12 @@ use spear_mem::AccessKind;
 /// Select ready entries for execution, up to `issue_width` per cycle.
 ///
 /// Scheduling priority (§3.3, "the instructions from the p-thread are
-/// selected for execution first") applies to the speculative contexts'
-/// *memory operations* — the prefetches that are the point of
-/// pre-execution — capped at their share of the issue width. Their
-/// compute operations fill whatever functional-unit slots the main
-/// context leaves idle, so a compute-heavy slice cannot starve the main
-/// thread on a scarce unit (see DESIGN.md). Speculative contexts are
-/// scanned context-major in context order, each in sequence order.
+/// selected for execution first") applies to the p-thread's *memory
+/// operations* — the prefetches that are the point of pre-execution —
+/// capped at its share of the issue width. Its compute operations fill
+/// whatever functional-unit slots the main context leaves idle, so a
+/// compute-heavy slice cannot starve the main thread on a scarce unit
+/// (see DESIGN.md). Both contexts are scanned in sequence order.
 pub fn run(pipe: &mut Pipeline) {
     pipe.issue_latch = IssueLatch::default();
     let mut budget = pipe.cfg.issue_width;
@@ -27,12 +27,7 @@ pub fn run(pipe: &mut Pipeline) {
         .min(budget);
     let full_priority = pipe.cfg.spear.is_some_and(|sp| sp.full_priority);
     let mut spec_used = 0;
-    let spec: Vec<SeqId> = pipe
-        .ctxs
-        .iter()
-        .skip(1)
-        .flat_map(|c| c.ready.iter().copied())
-        .collect();
+    let spec: Vec<SeqId> = pipe.ctxs[PTHREAD_CTX.0].ready.iter().copied().collect();
     for &seq in &spec {
         if spec_used >= pth_cap {
             break;
@@ -97,7 +92,6 @@ fn try_issue(pipe: &mut Pipeline, seq: SeqId) -> bool {
     let (eff_addr, pc, wrong_path, is_store) =
         (e.eff_addr, e.pc, e.wrong_path, e.inst.op.is_store());
     let dload_owner = e.dload_owner;
-    let pool = pipe.ctx_pool[ctx.0];
 
     // Latency: memory ops ask the hierarchy; the rest use class
     // latencies. Wrong-path memory ops are charged an L1 hit and do
@@ -116,7 +110,7 @@ fn try_issue(pipe: &mut Pipeline, seq: SeqId) -> bool {
             };
             // The cache access happens at issue; peek the FU first so
             // a rejected issue does not touch the cache.
-            if !pipe.pools[pool].acquire(class, now, 1) {
+            if !pipe.pool_mut(ctx).acquire(class, now, 1) {
                 return false;
             }
             let is_spec = !ctx.is_main();
@@ -150,7 +144,7 @@ fn try_issue(pipe: &mut Pipeline, seq: SeqId) -> bool {
         };
     }
 
-    if !pipe.pools[pool].acquire(class, now, occupy) {
+    if !pipe.pool_mut(ctx).acquire(class, now, occupy) {
         return false;
     }
     let e = pipe.ruu.get_mut(seq).expect("entry exists");

@@ -8,7 +8,7 @@
 //! * [`DecodePort`] — extraction → dispatch, same cycle: how much decode
 //!   bandwidth the front-end extension consumed.
 //! * [`IssueLatch`] — issue → next cycle's commit-stall classification:
-//!   what the speculative contexts issued.
+//!   what the p-thread issued.
 //! * [`RecoveryPort`] — dispatch → writeback: the (single) unresolved
 //!   mispredicted branch awaiting recovery.
 //!
@@ -33,7 +33,7 @@ pub struct DecodePort {
     pub pe_used: usize,
 }
 
-/// What the speculative contexts issued during the most recent issue
+/// What the p-thread issued during the most recent issue
 /// phase. Commit-stall classification runs *before* issue in the cycle
 /// loop, so it reads the previous cycle's latch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

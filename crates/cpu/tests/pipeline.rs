@@ -467,21 +467,20 @@ fn separate_fu_model_also_works() {
 }
 
 #[test]
-fn four_context_core_runs_to_completion() {
-    // Contexts beyond ctx1 are idle with the current SPEAR front end, but
-    // an N-way core must still build, run a full SPEAR workload to halt,
-    // and stay architecturally exact.
+fn idle_spear_front_end_is_the_baseline_cycle_for_cycle() {
+    // With an empty p-thread table the SPEAR front end and the p-thread
+    // context have nothing to do, so SPEAR and SPEAR.sf must time exactly
+    // as the baseline running the compiled binary (whose table it
+    // ignores): every counter, not only cycles.
     let b = gather_spear(1 << 15, 3000);
-    let mut cfg = CoreConfig::spear(128);
-    cfg.num_contexts = 4;
-    let mut core = Core::new(&b, cfg);
-    let res = core.run(50_000_000, u64::MAX).unwrap();
-    assert_eq!(res.exit, RunExit::Halted);
-    assert!(res.stats.preexec_completed > 0, "episodes must still run");
-    let mut golden = Interp::new(&b.program);
-    golden.run(u64::MAX).unwrap();
-    assert_eq!(res.stats.committed, golden.icount);
-    assert_eq!(core.state_checksum(), golden.state_checksum());
+    let base = run_core(&b, CoreConfig::baseline());
+    let plain = SpearBinary::plain(b.program.clone());
+    for cfg in [CoreConfig::spear(128), CoreConfig::spear_sf(128)] {
+        let name = cfg.model_name();
+        let res = run_core(&plain, cfg);
+        assert_eq!(res.exit, base.exit, "{name}");
+        assert_eq!(res.stats, base.stats, "{name}");
+    }
 }
 
 #[test]

@@ -90,7 +90,7 @@ mod tests {
     fn sample() -> Reproducer {
         Reproducer {
             origin: "seed42/iter7".into(),
-            found_config: "SPEAR-128/ctx2".into(),
+            found_config: "SPEAR-128".into(),
             found_kind: "memory".into(),
             found_detail: "first diff at byte 0x40".into(),
             golden_icount: 33,

@@ -8,11 +8,14 @@
 //!   array) plus branches, calls, and sub-word store/load overlap;
 //! * [`oracle`] — the architectural-equivalence judge: golden
 //!   interpreter vs the campaign engine's own cells over one table of
-//!   validated configurations (the three Figure-6 machines with 2/4
-//!   hardware contexts and TAGE, mid-run and strided checkpoints,
-//!   SimPoint, and baseline trace replay), with structural invariants
-//!   (exact CPI-stack slots, prefetch partition, window partition,
-//!   cache tag-store well-formedness) on every cell;
+//!   15 validated configurations (the three Figure-6 machines with the
+//!   default and TAGE predictors, SPEAR with an empty p-thread table,
+//!   mid-run and strided checkpoints, SimPoint, and baseline trace
+//!   replay), with structural invariants (exact CPI-stack slots,
+//!   prefetch partition, window partition, cache tag-store
+//!   well-formedness) on every cell, and two timing relations: trace
+//!   replay equals the program-driven baseline, and SPEAR with nothing
+//!   to pre-execute equals the baseline, cycle for cycle;
 //! * [`shrink`] + [`corpus`] — ddmin-style minimization of any failure
 //!   into a small reproducer stored as JSON under `tests/corpus/`,
 //!   replayed forever after as a regression test.
