@@ -134,12 +134,13 @@ pub struct ProgressSnapshot {
     pub done: u64,
     /// Total cells in the campaign.
     pub total: u64,
-    /// Cells executed by this invocation.
+    /// Cells finished by this invocation: `done` minus the cells skipped
+    /// as already done (never a cell still in flight).
     pub executed: u64,
     /// Wall-clock time since this invocation started, in ms.
     pub elapsed_ms: u64,
     /// Estimated remaining time, from the mean per-cell wall time of the
-    /// cells executed so far divided across the worker threads (`None`
+    /// cells finished so far divided across the worker threads (`None`
     /// until the first cell finishes).
     pub eta_ms: Option<u64>,
 }
@@ -469,7 +470,9 @@ impl Campaign {
             .open(&results_path)
             .map_err(|e| format!("cannot open {}: {e}", results_path.display()))?;
         let sink = Mutex::new(sink);
-        let executed = AtomicU64::new(0);
+        // Execution slots claimed against `max_cells`, including cells
+        // still in flight; progress reports count finished cells only.
+        let claimed = AtomicU64::new(0);
         let done_count = AtomicU64::new(skipped);
         let wall_sum_ms = AtomicU64::new(0);
         let committed_sum = AtomicU64::new(0);
@@ -479,8 +482,8 @@ impl Campaign {
         // heartbeats are advisory, so their IO errors never stop a run.
         let heartbeat = Mutex::new(String::new());
         let beat = |last_cell: &str| {
-            let ex = executed.load(Ordering::SeqCst).min(budget);
             let d = done_count.load(Ordering::SeqCst);
+            let ex = d - skipped;
             let elapsed_ms = t0.elapsed().as_millis() as u64;
             let committed = committed_sum.load(Ordering::SeqCst);
             let kips = if elapsed_ms > 0 {
@@ -514,8 +517,8 @@ impl Campaign {
             }
             // Claim an execution slot against the cell budget before
             // running the cell, so `max_cells` is exact.
-            if executed.fetch_add(1, Ordering::SeqCst) >= budget {
-                executed.fetch_sub(1, Ordering::SeqCst);
+            if claimed.fetch_add(1, Ordering::SeqCst) >= budget {
+                claimed.fetch_sub(1, Ordering::SeqCst);
                 stop.store(true, Ordering::SeqCst);
                 return None;
             }
@@ -551,7 +554,7 @@ impl Campaign {
             }
             drop(last);
             if let Some(cb) = opts.on_progress {
-                let ex = executed.load(Ordering::SeqCst).min(budget);
+                let ex = d - skipped;
                 cb(&ProgressSnapshot {
                     done: d,
                     total,
@@ -660,14 +663,14 @@ pub fn write_aggregate_envelopes(
 }
 
 /// Estimated remaining campaign wall time: mean per-cell simulation time
-/// of the cells executed so far, divided across the worker threads.
+/// of the cells finished so far, divided across the worker threads.
 /// `None` until the first cell finishes (and under a degenerate zero
 /// thread count), so a fresh campaign never reports a bogus 0ms ETA.
-pub fn eta_ms(wall_sum_ms: u64, executed: u64, remaining: u64, threads: usize) -> Option<u64> {
-    if executed == 0 || threads == 0 {
+pub fn eta_ms(wall_sum_ms: u64, finished: u64, remaining: u64, threads: usize) -> Option<u64> {
+    if finished == 0 || threads == 0 {
         return None;
     }
-    let per_cell = wall_sum_ms as f64 / executed as f64;
+    let per_cell = wall_sum_ms as f64 / finished as f64;
     Some((per_cell * remaining as f64 / threads as f64) as u64)
 }
 
@@ -679,7 +682,8 @@ pub struct HeartbeatDoc {
     pub done: u64,
     /// Total cells in the campaign.
     pub total: u64,
-    /// Cells executed by this invocation.
+    /// Cells finished by this invocation: `done` minus the cells skipped
+    /// as already done (never a cell still in flight).
     pub executed: u64,
     /// Worker threads in use.
     pub threads: u64,
@@ -731,7 +735,7 @@ pub fn write_heartbeat(dir: &Path, hb: &HeartbeatDoc) -> Result<(), String> {
         ),
         (
             "cells_executed",
-            "Cells executed by this invocation.",
+            "Cells finished by this invocation.",
             hb.executed.to_string(),
         ),
         ("threads", "Worker threads in use.", hb.threads.to_string()),

@@ -539,4 +539,36 @@ mod engine_tests {
         assert_eq!(total_cells, summary.total_cells);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn progress_counts_only_finished_cells_fresh_and_resumed() {
+        // With two workers a cell is often still in flight when another
+        // reports; `executed` must count finished cells only, so it is
+        // always `done` minus the cells skipped as already on disk.
+        let dir = temp_dir("progress-executed");
+        let run = |max_cells| {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let summary = Campaign::new(&dir, small_spec(2, max_cells))
+                .run(Some(&|p: &ProgressSnapshot| {
+                    seen.lock().unwrap().push((p.done, p.executed));
+                }))
+                .unwrap();
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(seen.len() as u64, summary.executed);
+            for (done, executed) in seen {
+                assert_eq!(executed, done - summary.skipped, "done {done}");
+            }
+            summary
+        };
+        let fresh = run(Some(3));
+        assert_eq!((fresh.skipped, fresh.executed), (0, 3));
+        let resumed = run(None);
+        assert_eq!(resumed.skipped, 3);
+        assert!(!resumed.interrupted);
+        let hb: HeartbeatDoc =
+            serde::json::from_str(&std::fs::read_to_string(dir.join("progress.json")).unwrap())
+                .unwrap();
+        assert_eq!(hb.executed, hb.done - resumed.skipped);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
