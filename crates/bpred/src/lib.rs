@@ -3,9 +3,10 @@
 //! The paper's front end uses a bimodal predictor with a 2048-entry table
 //! (Table 2). This crate provides that predictor, a gshare alternative for
 //! ablations, and a TAGE port for the "does SPEAR survive a modern
-//! predictor?" sensitivity study, all behind the [`BranchPredictor`]
-//! trait. A branch target buffer for indirect jumps and a return address
-//! stack complete the [`Predictor`] facade that the fetch stage drives.
+//! predictor?" sensitivity study. The [`Predictor`] facade that the fetch
+//! stage drives holds whichever of the three [`PredictorConfig`] names,
+//! plus a branch target buffer for indirect jumps and a return address
+//! stack.
 //!
 //! Direction state is updated at branch *resolution* on the true path only
 //! (the core calls [`Predictor::update`] when a branch executes), so
@@ -13,6 +14,10 @@
 //! `sim-outorder` uses. Because history registers only advance in
 //! `update`, no direction predictor needs history checkpointing on a
 //! squash: [`Predictor::recover`] clears only the return stack.
+//!
+//! Sampled campaigns warm a predictor functionally and then seed each
+//! cell's predictor from it with [`Predictor::restore`], which refuses
+//! warm state built under a different configuration.
 
 pub mod ras;
 pub mod tables;
@@ -20,7 +25,7 @@ pub mod tage;
 
 pub use ras::ReturnStack;
 pub use tables::{Bimodal, Btb, Gshare};
-pub use tage::{Tage, TageConfig, TageSnapshot};
+pub use tage::{Tage, TageConfig};
 
 use serde::{Deserialize, Serialize};
 use spear_isa::{Inst, OpShape};
@@ -37,7 +42,7 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
-    /// Canonical lowercase name (the CLI spelling and snapshot tag).
+    /// Canonical lowercase name (the CLI spelling).
     pub fn name(self) -> &'static str {
         match self {
             PredictorKind::Bimodal => "bimodal",
@@ -148,6 +153,63 @@ impl PredictorConfig {
             }
         }
     }
+
+    /// Direction-table geometry of the configured flavour, as named
+    /// scalars (for `dump-config` and the server's `/metrics`).
+    pub fn geometry(&self) -> Vec<(&'static str, u64)> {
+        let entries = self.table_size as u64;
+        match self.kind {
+            PredictorKind::Bimodal => vec![("table_entries", entries)],
+            PredictorKind::Gshare => vec![
+                ("table_entries", entries),
+                ("history_bits", self.table_size.trailing_zeros() as u64),
+            ],
+            PredictorKind::Tage => {
+                let t = &self.tage;
+                vec![
+                    ("base_entries", entries),
+                    ("tagged_tables", t.tables as u64),
+                    ("entries_per_table", 1u64 << t.table_bits),
+                    ("tag_bits", t.tag_bits as u64),
+                    ("min_history", t.min_hist as u64),
+                    ("max_history", t.max_hist as u64),
+                ]
+            }
+        }
+    }
+
+    /// Why warm state built under `warm` cannot seed a predictor built
+    /// from this configuration: the kind, or else the first differing
+    /// table dimension, each side named. `None` when they agree on
+    /// everything the predictor's state depends on.
+    fn mismatch(&self, warm: &PredictorConfig) -> Option<String> {
+        if self.kind != warm.kind {
+            return Some(format!(
+                "warm state is {}, live predictor is {}",
+                warm.kind.name(),
+                self.kind.name()
+            ));
+        }
+        let dims = |c: &PredictorConfig| {
+            let mut d = c.geometry();
+            d.push(("btb_entries", c.btb_entries as u64));
+            d.push(("ras_depth", c.ras_depth as u64));
+            if c.kind == PredictorKind::Tage {
+                d.push(("decay_period", c.tage.u_decay_period as u64));
+            }
+            d
+        };
+        dims(warm)
+            .into_iter()
+            .zip(dims(self))
+            .find(|(w, l)| w != l)
+            .map(|((name, w), (_, l))| {
+                format!(
+                    "{}: warm state has {w}, live predictor has {l}",
+                    name.replace('_', " ")
+                )
+            })
+    }
 }
 
 /// Prediction statistics (Table 3 reports the branch hit ratio).
@@ -242,160 +304,63 @@ impl Deserialize for PredictorDetail {
     }
 }
 
-/// The direction-prediction contract every flavour implements.
-///
-/// Scope is *direction only*: target prediction (BTB, return stack) is
-/// shared plumbing in the [`Predictor`] facade. The contract mirrors the
-/// core's update discipline — `predict` may be called speculatively on
-/// any path, `update` is called once per conditional branch at
-/// resolution on the true path, and internal history advances only in
-/// `update`, so implementations need no squash hook: wrong-path fetches
-/// never touch their state.
-pub trait BranchPredictor: std::fmt::Debug + Send {
-    /// Which flavour this is.
-    fn kind(&self) -> PredictorKind;
-
-    /// Predicted direction for the conditional branch at `pc`.
-    fn predict(&self, pc: u32) -> bool;
-
-    /// Train with the resolved direction (true path, at resolution).
-    fn update(&mut self, pc: u32, taken: bool);
-
-    /// Capture warm direction state as a kind-tagged snapshot.
-    fn snapshot(&self) -> DirSnapshot;
-
-    /// Load warm state. Must fail loudly when the snapshot's kind or
-    /// geometry does not match this predictor. Resets any internal
-    /// counters exposed via [`BranchPredictor::detail`].
-    fn restore(&mut self, snap: &DirSnapshot) -> Result<(), String>;
-
-    /// Table geometry as named scalars, for `dump-config`/`/metrics`.
-    fn geometry(&self) -> Vec<(&'static str, u64)>;
-
-    /// Internal counters for the stats-json envelope; `None` for
-    /// flavours with nothing worth exporting (the default bimodal).
-    fn detail(&self) -> Option<PredictorDetail> {
-        None
-    }
-
-    /// Clone into a boxed trait object (the facade derives its own
-    /// `Clone` through this).
-    fn clone_box(&self) -> Box<dyn BranchPredictor>;
+/// The configured direction predictor. Target prediction (BTB, return
+/// stack) is shared plumbing in [`Predictor`]. Every flavour is trained
+/// once per conditional branch, at resolution on the true path, and its
+/// history advances only then, so wrong-path fetches never touch it and
+/// no flavour needs a squash hook.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Direction {
+    Bimodal(Bimodal),
+    Gshare(Gshare),
+    Tage(Tage),
 }
 
-impl BranchPredictor for Bimodal {
-    fn kind(&self) -> PredictorKind {
-        PredictorKind::Bimodal
-    }
-
-    fn predict(&self, pc: u32) -> bool {
-        Bimodal::predict(self, pc)
-    }
-
-    fn update(&mut self, pc: u32, taken: bool) {
-        Bimodal::update(self, pc, taken)
-    }
-
-    fn snapshot(&self) -> DirSnapshot {
-        DirSnapshot::Bimodal {
-            counters: Bimodal::snapshot(self),
+impl Direction {
+    fn new(cfg: &PredictorConfig) -> Direction {
+        match cfg.kind {
+            PredictorKind::Bimodal => Direction::Bimodal(Bimodal::new(cfg.table_size)),
+            PredictorKind::Gshare => Direction::Gshare(Gshare::new(cfg.table_size)),
+            PredictorKind::Tage => Direction::Tage(Tage::new(cfg.table_size, cfg.tage)),
         }
     }
 
-    fn restore(&mut self, snap: &DirSnapshot) -> Result<(), String> {
-        let DirSnapshot::Bimodal { counters } = snap else {
-            return Err(format!(
-                "snapshot holds {} state, live predictor is bimodal",
-                snap.kind().name()
-            ));
-        };
-        Bimodal::restore(self, counters)
-    }
-
-    fn geometry(&self) -> Vec<(&'static str, u64)> {
-        vec![("table_entries", self.len() as u64)]
-    }
-
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
-    }
-}
-
-impl BranchPredictor for Gshare {
-    fn kind(&self) -> PredictorKind {
-        PredictorKind::Gshare
-    }
-
+    #[inline]
     fn predict(&self, pc: u32) -> bool {
-        Gshare::predict(self, pc)
+        match self {
+            Direction::Bimodal(d) => d.predict(pc),
+            Direction::Gshare(d) => d.predict(pc),
+            Direction::Tage(d) => d.predict(pc),
+        }
     }
 
+    #[inline]
     fn update(&mut self, pc: u32, taken: bool) {
-        Gshare::update(self, pc, taken)
-    }
-
-    fn snapshot(&self) -> DirSnapshot {
-        let (counters, history) = Gshare::snapshot(self);
-        DirSnapshot::Gshare { counters, history }
-    }
-
-    fn restore(&mut self, snap: &DirSnapshot) -> Result<(), String> {
-        let DirSnapshot::Gshare { counters, history } = snap else {
-            return Err(format!(
-                "snapshot holds {} state, live predictor is gshare",
-                snap.kind().name()
-            ));
-        };
-        Gshare::restore(self, counters, *history)
-    }
-
-    fn geometry(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("table_entries", self.len() as u64),
-            ("history_bits", self.history_bits() as u64),
-        ]
-    }
-
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
-    }
-}
-
-/// Build the configured direction predictor.
-fn build_dir(cfg: &PredictorConfig) -> Box<dyn BranchPredictor> {
-    match cfg.kind {
-        PredictorKind::Bimodal => Box::new(Bimodal::new(cfg.table_size)),
-        PredictorKind::Gshare => Box::new(Gshare::new(cfg.table_size)),
-        PredictorKind::Tage => Box::new(Tage::new(cfg.table_size, cfg.tage)),
+        match self {
+            Direction::Bimodal(d) => d.update(pc, taken),
+            Direction::Gshare(d) => d.update(pc, taken),
+            Direction::Tage(d) => d.update(pc, taken),
+        }
     }
 }
 
 /// The combined front-end predictor.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Predictor {
-    dir: Box<dyn BranchPredictor>,
+    cfg: PredictorConfig,
+    dir: Direction,
     btb: Btb,
     ras: ReturnStack,
     /// Resolution statistics.
     pub stats: PredStats,
 }
 
-impl Clone for Predictor {
-    fn clone(&self) -> Predictor {
-        Predictor {
-            dir: self.dir.clone_box(),
-            btb: self.btb.clone(),
-            ras: self.ras.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
 impl Predictor {
     /// Build from a configuration.
     pub fn new(cfg: PredictorConfig) -> Predictor {
         Predictor {
-            dir: build_dir(&cfg),
+            cfg,
+            dir: Direction::new(&cfg),
             btb: Btb::new(cfg.btb_entries),
             ras: ReturnStack::new(cfg.ras_depth),
             stats: PredStats::default(),
@@ -404,18 +369,21 @@ impl Predictor {
 
     /// The active direction-predictor flavour.
     pub fn kind(&self) -> PredictorKind {
-        self.dir.kind()
+        self.cfg.kind
     }
 
     /// Direction-table geometry of the active flavour, as named scalars.
     pub fn geometry(&self) -> Vec<(&'static str, u64)> {
-        self.dir.geometry()
+        self.cfg.geometry()
     }
 
     /// Per-predictor internal counters for the stats envelope (`None`
-    /// for the default bimodal).
+    /// for bimodal and gshare, which have nothing worth exporting).
     pub fn detail(&self) -> Option<PredictorDetail> {
-        self.dir.detail()
+        match &self.dir {
+            Direction::Tage(t) => Some(t.detail()),
+            _ => None,
+        }
     }
 
     /// Predict the next PC for the instruction at `pc`.
@@ -510,94 +478,31 @@ impl Predictor {
     /// Squash speculative return-stack state after a misprediction. The
     /// stack is simply cleared — a conservative recovery that matches the
     /// cheap hardware the paper assumes. Direction predictors need no
-    /// squash hook: their history advances only at resolution (see the
-    /// [`BranchPredictor`] contract).
+    /// squash hook: their history advances only at resolution.
     pub fn recover(&mut self) {
         self.ras.clear();
     }
 
-    /// Capture the warm predictor state (direction tables and history,
-    /// BTB, RAS). Statistics are not captured: a restored predictor
-    /// counts only its own resolutions.
-    pub fn snapshot(&self) -> PredictorSnapshot {
-        PredictorSnapshot {
-            dir: self.dir.snapshot(),
-            btb: self.btb.snapshot(),
-            ras: self.ras.snapshot(),
+    /// Copy the warm state of a predictor built with the same
+    /// configuration: direction tables and history, BTB and return
+    /// stack. A different kind or table geometry is refused with an error
+    /// naming the mismatch — seeding, say, a gshare table with a
+    /// different history length would silently corrupt every later
+    /// prediction. Statistics and TAGE's detail counters start at zero,
+    /// so a restored predictor counts only its own resolutions.
+    pub fn restore(&mut self, warm: &Predictor) -> Result<(), String> {
+        if let Some(why) = self.cfg.mismatch(&warm.cfg) {
+            return Err(why);
         }
-    }
-
-    /// Load warm state captured from a predictor built with the same
-    /// configuration. A snapshot whose direction-predictor kind or table
-    /// geometry does not match the live configuration is rejected loudly
-    /// — restoring, say, a gshare image with a different history length
-    /// would otherwise silently corrupt every subsequent prediction.
-    /// Resets statistics.
-    pub fn restore(&mut self, snap: &PredictorSnapshot) -> Result<(), String> {
-        self.dir
-            .restore(&snap.dir)
-            .map_err(|e| format!("{}: {e}", self.dir.kind().name()))?;
-        self.btb
-            .restore(&snap.btb)
-            .map_err(|e| format!("btb: {e}"))?;
-        self.ras.restore(&snap.ras);
+        self.dir.clone_from(&warm.dir);
+        if let Direction::Tage(t) = &mut self.dir {
+            t.clear_detail();
+        }
+        self.btb.clone_from(&warm.btb);
+        self.ras.clone_from(&warm.ras);
         self.stats = PredStats::default();
         Ok(())
     }
-}
-
-/// Kind-tagged warm direction-predictor state: a checkpoint restored
-/// under a different predictor configuration fails by *kind*, never by
-/// a coincidental geometry match.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DirSnapshot {
-    /// Bimodal 2-bit counters.
-    Bimodal {
-        /// The counter table.
-        counters: Vec<u8>,
-    },
-    /// Gshare counters plus the global history register.
-    Gshare {
-        /// The counter table.
-        counters: Vec<u8>,
-        /// Global history register.
-        history: u32,
-    },
-    /// TAGE base + tagged tables + history (see [`TageSnapshot`]).
-    Tage(TageSnapshot),
-}
-
-impl DirSnapshot {
-    /// The predictor flavour this snapshot belongs to.
-    pub fn kind(&self) -> PredictorKind {
-        match self {
-            DirSnapshot::Bimodal { .. } => PredictorKind::Bimodal,
-            DirSnapshot::Gshare { .. } => PredictorKind::Gshare,
-            DirSnapshot::Tage(_) => PredictorKind::Tage,
-        }
-    }
-}
-
-impl Default for DirSnapshot {
-    fn default() -> DirSnapshot {
-        DirSnapshot::Bimodal {
-            counters: Vec::new(),
-        }
-    }
-}
-
-/// Image of a [`Predictor`]'s warm state, used by the checkpointing
-/// subsystem (`spear-campaign`). The direction state is a kind-tagged
-/// payload ([`DirSnapshot`]), so a kind/geometry mismatch on restore
-/// fails loudly.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PredictorSnapshot {
-    /// Kind-tagged direction-predictor state.
-    pub dir: DirSnapshot,
-    /// BTB `(tag, target)` entries.
-    pub btb: Vec<Option<(u32, u32)>>,
-    /// Return-stack live entries, oldest first.
-    pub ras: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -685,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_reproduces_predictions() {
+    fn restore_reproduces_predictions() {
         let mut p = Predictor::new(PredictorConfig::paper());
         let b = branch(5);
         for _ in 0..4 {
@@ -696,10 +601,9 @@ mod tests {
         p.update(20, &jr, true, 77, None);
         let call = Inst::new(Opcode::Jal, R31, R0, R0, 50);
         p.predict(10, &call); // push 11 onto the RAS
-        let snap = p.snapshot();
 
         let mut q = Predictor::new(PredictorConfig::paper());
-        q.restore(&snap).expect("same configuration");
+        q.restore(&p).expect("same configuration");
         let ret = Inst::new(Opcode::Jr, R0, R31, R0, 0);
         assert_eq!(q.predict(60, &ret).next_pc, 11, "RAS carried over");
         assert_eq!(q.predict(100, &b).taken, Some(true), "counters warm");
@@ -710,12 +614,25 @@ mod tests {
     #[test]
     fn restore_rejects_size_mismatch() {
         let p = Predictor::new(PredictorConfig::paper());
-        let snap = p.snapshot();
         let mut small = Predictor::new(PredictorConfig {
             table_size: 64,
             ..PredictorConfig::paper()
         });
-        assert!(small.restore(&snap).is_err());
+        let err = small.restore(&p).unwrap_err();
+        assert!(err.contains("2048") && err.contains("64"), "{err}");
+        // The BTB and return stack are part of the configuration too.
+        for other in [
+            PredictorConfig {
+                btb_entries: 256,
+                ..PredictorConfig::paper()
+            },
+            PredictorConfig {
+                ras_depth: 8,
+                ..PredictorConfig::paper()
+            },
+        ] {
+            assert!(Predictor::new(other).restore(&p).is_err());
+        }
     }
 
     #[test]
@@ -725,9 +642,9 @@ mod tests {
             (PredictorKind::Gshare, PredictorKind::Tage),
             (PredictorKind::Tage, PredictorKind::Bimodal),
         ] {
-            let snap = Predictor::new(config(a)).snapshot();
+            let warm = Predictor::new(config(a));
             let mut live = Predictor::new(config(b));
-            let err = live.restore(&snap).unwrap_err();
+            let err = live.restore(&warm).unwrap_err();
             assert!(
                 err.contains(a.name()) && err.contains(b.name()),
                 "error must name both kinds: {err}"
@@ -847,5 +764,9 @@ mod tests {
         let p = Predictor::new(PredictorConfig::paper());
         assert_eq!(p.geometry(), vec![("table_entries", 2048)]);
         assert_eq!(p.kind(), PredictorKind::Bimodal);
+        assert_eq!(
+            config(PredictorKind::Gshare).geometry(),
+            vec![("table_entries", 2048), ("history_bits", 11)]
+        );
     }
 }

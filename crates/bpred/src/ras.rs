@@ -5,7 +5,7 @@
 /// Pushed on calls (`jal`/`jalr`), popped on returns (`jr`). Overflow wraps
 /// (oldest entry overwritten), underflow returns `None` — both standard
 /// hardware behaviours.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReturnStack {
     buf: Vec<u32>,
     top: usize,
@@ -50,29 +50,6 @@ impl ReturnStack {
         self.len = 0;
         self.top = 0;
     }
-
-    /// Live entries, oldest first (for checkpointing). Replaying the
-    /// returned addresses through [`ReturnStack::push`] on an empty stack
-    /// of any depth ≥ the snapshot length reproduces the live state.
-    pub fn snapshot(&self) -> Vec<u32> {
-        (0..self.len)
-            .map(|i| {
-                let cap = self.buf.len();
-                // Oldest live entry sits `len` slots behind `top`.
-                self.buf[(self.top + cap - self.len + i) % cap]
-            })
-            .collect()
-    }
-
-    /// Reset to exactly the live entries of a snapshot (oldest first).
-    /// Entries beyond this stack's depth are dropped oldest-first, the
-    /// same truncation pushing them one by one would produce.
-    pub fn restore(&mut self, entries: &[u32]) {
-        self.clear();
-        for &a in entries {
-            self.push(a);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -110,23 +87,6 @@ mod tests {
         s.clear();
         assert_eq!(s.pop(), None);
         assert_eq!(s.depth(), 0);
-    }
-
-    #[test]
-    fn snapshot_restore_survives_wraparound() {
-        let mut s = ReturnStack::new(4);
-        for a in 1..=6 {
-            s.push(a); // wraps: live entries are 3,4,5,6 (oldest first)
-        }
-        assert_eq!(s.snapshot(), vec![3, 4, 5, 6]);
-        let snap = s.snapshot();
-        let mut t = ReturnStack::new(4);
-        t.restore(&snap);
-        assert_eq!(t.pop(), Some(6));
-        assert_eq!(t.pop(), Some(5));
-        assert_eq!(t.pop(), Some(4));
-        assert_eq!(t.pop(), Some(3));
-        assert_eq!(t.pop(), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 ///
 /// 0–1 predict not-taken, 2–3 predict taken; counters initialize to weakly
 /// not-taken (1), matching SimpleScalar's bimodal reset state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bimodal {
     table: Vec<u8>,
     mask: u32,
@@ -42,39 +42,10 @@ impl Bimodal {
             *c = c.saturating_sub(1);
         }
     }
-
-    /// Number of counters in the table.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the table is empty (never true for a constructed table;
-    /// present for the `len`/`is_empty` idiom).
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// The counter table (for checkpointing warm predictor state).
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.table.clone()
-    }
-
-    /// Load counters captured from a same-sized table.
-    pub fn restore(&mut self, counters: &[u8]) -> Result<(), String> {
-        if counters.len() != self.table.len() {
-            return Err(format!(
-                "bimodal snapshot has {} counters, table holds {}",
-                counters.len(),
-                self.table.len()
-            ));
-        }
-        self.table.copy_from_slice(counters);
-        Ok(())
-    }
 }
 
 /// Gshare: global history XOR PC indexes the counter table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Gshare {
     table: Vec<u8>,
     mask: u32,
@@ -117,44 +88,10 @@ impl Gshare {
         }
         self.history = ((self.history << 1) | taken as u32) & ((1 << self.hist_bits) - 1);
     }
-
-    /// Number of counters in the table.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the table is empty (never true for a constructed table).
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Global history length in bits.
-    pub fn history_bits(&self) -> u32 {
-        self.hist_bits
-    }
-
-    /// Counter table and history register (for checkpointing).
-    pub fn snapshot(&self) -> (Vec<u8>, u32) {
-        (self.table.clone(), self.history)
-    }
-
-    /// Load counters and history captured from a same-sized table.
-    pub fn restore(&mut self, counters: &[u8], history: u32) -> Result<(), String> {
-        if counters.len() != self.table.len() {
-            return Err(format!(
-                "gshare snapshot has {} counters, table holds {}",
-                counters.len(),
-                self.table.len()
-            ));
-        }
-        self.table.copy_from_slice(counters);
-        self.history = history & ((1 << self.hist_bits) - 1);
-        Ok(())
-    }
 }
 
 /// Direct-mapped branch target buffer with tag check.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Btb {
     entries: Vec<Option<(u32, u32)>>, // (tag pc, target)
     mask: u32,
@@ -183,24 +120,6 @@ impl Btb {
     #[inline]
     pub fn insert(&mut self, pc: u32, target: u32) {
         self.entries[(pc & self.mask) as usize] = Some((pc, target));
-    }
-
-    /// All `(tag, target)` entries (for checkpointing).
-    pub fn snapshot(&self) -> Vec<Option<(u32, u32)>> {
-        self.entries.clone()
-    }
-
-    /// Load entries captured from a same-sized BTB.
-    pub fn restore(&mut self, entries: &[Option<(u32, u32)>]) -> Result<(), String> {
-        if entries.len() != self.entries.len() {
-            return Err(format!(
-                "BTB snapshot has {} entries, buffer holds {}",
-                entries.len(),
-                self.entries.len()
-            ));
-        }
-        self.entries.copy_from_slice(entries);
-        Ok(())
     }
 }
 

@@ -10,24 +10,24 @@
 //! allocated weak entry.
 //!
 //! Deviations from the reference implementation, chosen for
-//! checkpointability and determinism:
+//! restorability and determinism:
 //!
 //! * index/tag hashes *fold the history functionally* on every lookup
 //!   instead of maintaining incremental circular-shift registers — the
 //!   whole predictor state is then plain tables plus one history
-//!   register, which snapshots and restores exactly;
+//!   register, which a restore copies exactly;
 //! * allocation on a mispredict takes the *first* `u == 0` table above
 //!   the provider (the reference throws a biased coin between
 //!   candidates) — no RNG, so two identical runs are bit-identical;
 //! * useful-bit aging halves every `u` counter on a fixed tick period
 //!   (the reference alternates column resets), with the tick counter
-//!   part of the snapshot.
+//!   part of the warm state.
 //!
 //! History advances only in [`Tage::update`] (branch resolution on the
 //! true path), matching the crate-wide discipline — no speculative
 //! history, hence nothing to repair on a squash.
 
-use crate::{BranchPredictor, DirSnapshot, PredictorDetail, PredictorKind};
+use crate::PredictorDetail;
 use serde::{Deserialize, Serialize};
 
 /// Geometry of the tagged side of a TAGE predictor. The bimodal base
@@ -115,7 +115,7 @@ impl TageConfig {
 }
 
 /// One tagged table: parallel counter/tag/useful arrays.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct TaggedTable {
     /// 3-bit prediction counters, 0..=7; taken when >= 4. Weak states
     /// are 3 and 4 (a newly allocated entry starts weak).
@@ -158,9 +158,22 @@ struct Lookup {
     provider_is_new: bool,
 }
 
+/// Internal counters for the stats envelope, reported by
+/// [`Tage::detail`]. Zeroed when warm state is restored: a restored
+/// predictor counts only its own resolutions.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Counters {
+    provider_tagged: u64,
+    provider_base: u64,
+    alt_used: u64,
+    allocs: u64,
+    alloc_fails: u64,
+    u_decays: u64,
+}
+
 /// The TAGE predictor. See the module docs for the design and the
-/// determinism/checkpointing deviations.
-#[derive(Clone, Debug)]
+/// determinism/restore deviations.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Tage {
     cfg: TageConfig,
     /// Bimodal base: 2-bit counters, 0..=3, taken when >= 2.
@@ -174,15 +187,7 @@ pub struct Tage {
     use_alt_on_na: i8,
     /// Updates since the last useful-counter halving.
     tick: u32,
-    // Internal counters for the stats envelope (reset on restore, never
-    // part of the snapshot — a restored predictor counts only its own
-    // resolutions).
-    stat_provider_tagged: u64,
-    stat_provider_base: u64,
-    stat_alt_used: u64,
-    stat_allocs: u64,
-    stat_alloc_fails: u64,
-    stat_u_decays: u64,
+    stats: Counters,
 }
 
 impl Tage {
@@ -203,12 +208,7 @@ impl Tage {
             hist: [0; 2],
             use_alt_on_na: 0,
             tick: 0,
-            stat_provider_tagged: 0,
-            stat_provider_base: 0,
-            stat_alt_used: 0,
-            stat_allocs: 0,
-            stat_alloc_fails: 0,
-            stat_u_decays: 0,
+            stats: Counters::default(),
         }
     }
 
@@ -323,19 +323,16 @@ impl Tage {
             *c = c.saturating_sub(1);
         }
     }
-}
 
-impl BranchPredictor for Tage {
-    fn kind(&self) -> PredictorKind {
-        PredictorKind::Tage
-    }
-
-    fn predict(&self, pc: u32) -> bool {
+    /// Predicted direction for the conditional branch at `pc`.
+    pub fn predict(&self, pc: u32) -> bool {
         let l = self.lookup(pc);
         self.choose(&l)
     }
 
-    fn update(&mut self, pc: u32, taken: bool) {
+    /// Train with the resolved direction (true path, at resolution) and
+    /// shift it into the global history.
+    pub fn update(&mut self, pc: u32, taken: bool) {
         // Recompute the provider chain under the resolution-time history
         // — the same idiom the gshare table uses (the hit/miss *stats*
         // are judged against the fetch-time prediction by the facade).
@@ -343,9 +340,9 @@ impl BranchPredictor for Tage {
         let chosen = self.choose(&l);
 
         if let Some(p) = l.provider {
-            self.stat_provider_tagged += 1;
+            self.stats.provider_tagged += 1;
             if chosen != l.provider_pred {
-                self.stat_alt_used += 1;
+                self.stats.alt_used += 1;
             }
             let (idx, _) = l.slots[p];
             // Track whether trusting weak new entries beats their alt.
@@ -376,7 +373,7 @@ impl BranchPredictor for Tage {
                 }
             }
         } else {
-            self.stat_provider_base += 1;
+            self.stats.provider_base += 1;
             let b = &mut self.base[(pc & self.base_mask) as usize];
             if taken {
                 *b = (*b + 1).min(3);
@@ -397,13 +394,13 @@ impl BranchPredictor for Tage {
                     if self.tables[i].u[idx] == 0 {
                         self.tables[i].tag[idx] = tag;
                         self.tables[i].ctr[idx] = if taken { 4 } else { 3 };
-                        self.stat_allocs += 1;
+                        self.stats.allocs += 1;
                         allocated = true;
                         break;
                     }
                 }
                 if !allocated {
-                    self.stat_alloc_fails += 1;
+                    self.stats.alloc_fails += 1;
                     for i in start..self.tables.len() {
                         let (idx, _) = l.slots[i];
                         self.tables[i].u[idx] = self.tables[i].u[idx].saturating_sub(1);
@@ -412,11 +409,12 @@ impl BranchPredictor for Tage {
             }
         }
 
-        // Periodic useful-counter aging, on a snapshotted tick.
+        // Periodic useful-counter aging, on a tick that is part of the
+        // warm state.
         self.tick += 1;
         if self.tick >= self.cfg.u_decay_period {
             self.tick = 0;
-            self.stat_u_decays += 1;
+            self.stats.u_decays += 1;
             for t in &mut self.tables {
                 for u in &mut t.u {
                     *u >>= 1;
@@ -435,123 +433,26 @@ impl BranchPredictor for Tage {
         }
     }
 
-    fn snapshot(&self) -> DirSnapshot {
-        DirSnapshot::Tage(TageSnapshot {
-            base: self.base.clone(),
-            ctrs: self.tables.iter().map(|t| t.ctr.clone()).collect(),
-            tags: self.tables.iter().map(|t| t.tag.clone()).collect(),
-            useful: self.tables.iter().map(|t| t.u.clone()).collect(),
-            hist: self.hist.to_vec(),
-            use_alt_on_na: self.use_alt_on_na,
-            tick: self.tick,
-        })
-    }
-
-    fn restore(&mut self, snap: &DirSnapshot) -> Result<(), String> {
-        let DirSnapshot::Tage(s) = snap else {
-            return Err(format!(
-                "snapshot holds {} state, live predictor is tage",
-                snap.kind().name()
-            ));
-        };
-        if s.base.len() != self.base.len() {
-            return Err(format!(
-                "snapshot base table has {} counters, live table holds {}",
-                s.base.len(),
-                self.base.len()
-            ));
-        }
-        if s.ctrs.len() != self.tables.len()
-            || s.tags.len() != self.tables.len()
-            || s.useful.len() != self.tables.len()
-        {
-            return Err(format!(
-                "snapshot has {} tagged tables, live predictor has {}",
-                s.ctrs.len(),
-                self.tables.len()
-            ));
-        }
-        for (i, t) in self.tables.iter().enumerate() {
-            let want = t.ctr.len();
-            if s.ctrs[i].len() != want || s.tags[i].len() != want || s.useful[i].len() != want {
-                return Err(format!(
-                    "snapshot tagged table {i} has {} entries, live table holds {want}",
-                    s.ctrs[i].len()
-                ));
-            }
-        }
-        if s.hist.len() != 2 {
-            return Err(format!(
-                "snapshot history has {} words, expected 2",
-                s.hist.len()
-            ));
-        }
-        self.base.copy_from_slice(&s.base);
-        for (i, t) in self.tables.iter_mut().enumerate() {
-            t.ctr.copy_from_slice(&s.ctrs[i]);
-            t.tag.copy_from_slice(&s.tags[i]);
-            t.u.copy_from_slice(&s.useful[i]);
-        }
-        self.hist = [s.hist[0], s.hist[1]];
-        self.use_alt_on_na = s.use_alt_on_na.clamp(-8, 7);
-        self.tick = s.tick;
-        self.stat_provider_tagged = 0;
-        self.stat_provider_base = 0;
-        self.stat_alt_used = 0;
-        self.stat_allocs = 0;
-        self.stat_alloc_fails = 0;
-        self.stat_u_decays = 0;
-        Ok(())
-    }
-
-    fn geometry(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("base_entries", self.base.len() as u64),
-            ("tagged_tables", self.cfg.tables as u64),
-            ("entries_per_table", 1u64 << self.cfg.table_bits),
-            ("tag_bits", self.cfg.tag_bits as u64),
-            ("min_history", self.cfg.min_hist as u64),
-            ("max_history", self.cfg.max_hist as u64),
-        ]
-    }
-
-    fn detail(&self) -> Option<PredictorDetail> {
-        Some(PredictorDetail {
+    /// Internal counters for the stats envelope.
+    pub fn detail(&self) -> PredictorDetail {
+        let c = &self.stats;
+        PredictorDetail {
             kind: "tage".to_string(),
             counters: vec![
-                ("provider_tagged".to_string(), self.stat_provider_tagged),
-                ("provider_base".to_string(), self.stat_provider_base),
-                ("alt_used".to_string(), self.stat_alt_used),
-                ("allocations".to_string(), self.stat_allocs),
-                ("allocation_fails".to_string(), self.stat_alloc_fails),
-                ("u_decays".to_string(), self.stat_u_decays),
+                ("provider_tagged".to_string(), c.provider_tagged),
+                ("provider_base".to_string(), c.provider_base),
+                ("alt_used".to_string(), c.alt_used),
+                ("allocations".to_string(), c.allocs),
+                ("allocation_fails".to_string(), c.alloc_fails),
+                ("u_decays".to_string(), c.u_decays),
             ],
-        })
+        }
     }
 
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
+    /// Zero the detail counters (after warm state was copied in).
+    pub(crate) fn clear_detail(&mut self) {
+        self.stats = Counters::default();
     }
-}
-
-/// Warm TAGE state. Internal stat counters are deliberately absent — a
-/// restored predictor counts only its own resolutions.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TageSnapshot {
-    /// Bimodal base counters.
-    pub base: Vec<u8>,
-    /// Per-table 3-bit prediction counters.
-    pub ctrs: Vec<Vec<u8>>,
-    /// Per-table partial tags.
-    pub tags: Vec<Vec<u16>>,
-    /// Per-table 2-bit useful counters.
-    pub useful: Vec<Vec<u8>>,
-    /// Global history, `[low 64 bits, high 64 bits]`.
-    pub hist: Vec<u64>,
-    /// The use-alt-on-newly-allocated counter.
-    pub use_alt_on_na: i8,
-    /// Updates since the last useful-counter halving.
-    pub tick: u32,
 }
 
 #[cfg(test)]
@@ -632,5 +533,22 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn mispredict_allocates_one_weak_tagged_entry() {
+        let mut t = Tage::new(2048, TageConfig::default_spec());
+        let pc = 0x1234;
+        // A fresh predictor predicts not-taken (base counters weakly NT),
+        // so a taken branch is a mispredict and must allocate.
+        assert!(!t.predict(pc));
+        assert_eq!(t.stats.allocs, 0);
+        t.update(pc, true);
+        assert_eq!(t.stats.allocs, 1);
+        let live_tags = t.tables.iter().flat_map(|x| &x.tag).filter(|&&g| g != 0);
+        assert_eq!(live_tags.count(), 1, "exactly one entry allocated");
+        // Allocated weakly taken.
+        let weak = t.tables.iter().flat_map(|x| &x.ctr).filter(|&&c| c == 4);
+        assert_eq!(weak.count(), 1, "allocation starts weak");
     }
 }

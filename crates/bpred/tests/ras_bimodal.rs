@@ -35,23 +35,6 @@ fn ras_depth_one_keeps_only_the_newest() {
     assert_eq!(s.pop(), None);
 }
 
-#[test]
-fn ras_snapshot_after_wraparound_preserves_pop_order() {
-    let mut s = ReturnStack::new(3);
-    for a in 1..=8u32 {
-        s.push(a);
-    }
-    // Live entries oldest-first: 6, 7, 8.
-    assert_eq!(s.snapshot(), vec![6, 7, 8]);
-    // Restoring into a *deeper* stack reproduces the same pop order.
-    let mut t = ReturnStack::new(16);
-    t.restore(&s.snapshot());
-    assert_eq!(t.pop(), Some(8));
-    assert_eq!(t.pop(), Some(7));
-    assert_eq!(t.pop(), Some(6));
-    assert_eq!(t.pop(), None);
-}
-
 // --- ReturnStack: underflow -------------------------------------------
 
 #[test]
@@ -132,6 +115,25 @@ fn predictor_ras_underflow_prefers_btb_then_fallthrough() {
     // Train the BTB for this jr, keep the RAS empty: BTB target wins.
     p.update(50, &ret(), true, 777, None);
     assert_eq!(p.predict(50, &ret()).next_pc, 777);
+}
+
+#[test]
+fn predictor_restore_after_ras_wraparound_preserves_pop_order() {
+    let cfg = PredictorConfig {
+        ras_depth: 3,
+        ..PredictorConfig::paper()
+    };
+    let mut warm = Predictor::new(cfg);
+    for pc in 1..=8u32 {
+        warm.predict(pc, &call(100)); // pushes pc + 1; wraps twice
+    }
+    // Live entries oldest-first: 7, 8, 9.
+    let mut live = Predictor::new(cfg);
+    live.restore(&warm).expect("same configuration");
+    for expect in [9, 8, 7] {
+        assert_eq!(live.predict(2000, &ret()).next_pc, expect);
+    }
+    assert_eq!(live.predict(2000, &ret()).next_pc, 2001, "stack drained");
 }
 
 // --- Bimodal: saturation at both rails --------------------------------

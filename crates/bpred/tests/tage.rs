@@ -1,10 +1,10 @@
-//! TAGE behavioural tests: provider/alt selection, allocation on
-//! mispredict, useful-bit aging, snapshot round-trips, and bit-exact
-//! determinism — all through the public `BranchPredictor` surface.
+//! TAGE behavioural tests: provider/alt selection, allocation failure,
+//! useful-bit aging, warm-state restore through the [`Predictor`]
+//! facade, and bit-exact determinism — all through the public surface.
 
-use spear_bpred::{
-    BranchPredictor, DirSnapshot, Predictor, PredictorConfig, PredictorKind, Tage, TageConfig,
-};
+use spear_bpred::{Predictor, PredictorConfig, PredictorKind, Tage, TageConfig};
+use spear_isa::reg::*;
+use spear_isa::{Inst, Opcode};
 
 fn fresh(cfg: TageConfig) -> Tage {
     Tage::new(2048, cfg)
@@ -12,7 +12,6 @@ fn fresh(cfg: TageConfig) -> Tage {
 
 fn counter(t: &Tage, name: &str) -> u64 {
     t.detail()
-        .expect("tage exports detail")
         .counters
         .iter()
         .find(|(n, _)| n == name)
@@ -64,30 +63,6 @@ fn provider_vs_altpred_selection_is_exercised_and_counted() {
 }
 
 #[test]
-fn mispredict_allocates_a_tagged_entry() {
-    let mut t = fresh(TageConfig::default_spec());
-    let pc = 0x1234;
-    // A fresh predictor predicts not-taken (base counters weakly NT), so
-    // a taken branch is a mispredict and must allocate.
-    assert!(!t.predict(pc));
-    assert_eq!(counter(&t, "allocations"), 0);
-    t.update(pc, true);
-    assert_eq!(counter(&t, "allocations"), 1);
-    let DirSnapshot::Tage(s) = t.snapshot() else {
-        panic!("tage snapshot")
-    };
-    let live_tags: usize = s.tags.iter().flatten().filter(|&&tag| tag != 0).count();
-    let weak_entries: usize = s
-        .ctrs
-        .iter()
-        .flatten()
-        .filter(|&&c| c == 4) // allocated weakly-taken
-        .count();
-    assert_eq!(live_tags, 1, "exactly one entry allocated");
-    assert_eq!(weak_entries, 1, "allocation starts weak");
-}
-
-#[test]
 fn allocation_failure_ages_candidate_useful_bits() {
     // One tiny single-entry table: once its entry is useful (u > 0),
     // further mispredicts cannot allocate and must age it back down.
@@ -119,17 +94,47 @@ fn useful_bits_decay_on_the_configured_period() {
     );
 }
 
-#[test]
-fn snapshot_restore_round_trips_history_and_tables() {
-    let mut a = fresh(TageConfig::default_spec());
-    drive_pattern(&mut a, 0xBEEF, 3000, 7);
-    let snap = a.snapshot();
+fn tage(t: TageConfig) -> PredictorConfig {
+    PredictorConfig {
+        kind: PredictorKind::Tage,
+        tage: t,
+        ..PredictorConfig::paper()
+    }
+}
 
-    let mut b = fresh(TageConfig::default_spec());
-    b.restore(&snap).expect("same geometry restores");
-    assert_eq!(b.snapshot(), snap, "restore is lossless");
+/// Predict then resolve one conditional branch through the facade;
+/// returns whether the fetch-time direction was right.
+fn step(p: &mut Predictor, pc: u32, taken: bool) -> bool {
+    let b = Inst::new(Opcode::Bne, R0, R1, R0, 5);
+    let pred = p.predict(pc, &b);
+    p.update(pc, &b, taken, 5, Some(pred));
+    pred.taken == Some(taken)
+}
+
+fn detail_counter(p: &Predictor, name: &str) -> u64 {
+    let d = p.detail().expect("tage exports detail");
+    d.counters.iter().find(|(n, _)| n == name).unwrap().1
+}
+
+#[test]
+fn restore_is_lossless_and_zeroes_detail_counters() {
+    let cfg = tage(TageConfig::default_spec());
+    let mut a = Predictor::new(cfg);
+    for i in 0..3000 {
+        step(&mut a, 0xBEEF, (0xB5u32 >> (i % 7)) & 1 == 1);
+    }
+    assert!(detail_counter(&a, "provider_tagged") > 0);
+
+    let mut b = Predictor::new(cfg);
+    b.restore(&a).expect("same configuration restores");
     // Detail counters reset: a restored predictor measures only itself.
-    assert_eq!(counter(&b, "provider_tagged"), 0);
+    for (name, v) in b.detail().unwrap().counters {
+        assert_eq!(v, 0, "{name} after restore");
+    }
+    // Restoring `a` from a copy of itself zeroes its counters the same
+    // way, leaving only the warm state to compare: it must be identical.
+    a.restore(&a.clone()).unwrap();
+    assert_eq!(a, b, "restore is lossless");
 
     // From here on, both predictors see the same stream and must agree
     // bit-for-bit — history (including the cross-word high bits) and
@@ -137,41 +142,49 @@ fn snapshot_restore_round_trips_history_and_tables() {
     for i in 0..500u32 {
         let pc = 0xBEEF + (i % 3);
         let taken = i.count_ones() % 2 == 0;
-        assert_eq!(a.predict(pc), b.predict(pc), "diverged at step {i}");
-        a.update(pc, taken);
-        b.update(pc, taken);
+        assert_eq!(
+            step(&mut a, pc, taken),
+            step(&mut b, pc, taken),
+            "diverged at step {i}"
+        );
     }
-    assert_eq!(a.snapshot(), b.snapshot());
+    assert_eq!(a, b);
 }
 
 #[test]
 fn restore_rejects_wrong_geometry_loudly() {
-    let snap = fresh(TageConfig::default_spec()).snapshot();
+    let warm = Predictor::new(tage(TageConfig::default_spec()));
+    let refuse = |live: PredictorConfig| Predictor::new(live).restore(&warm).unwrap_err();
     // Different tagged-table count.
-    let mut t = fresh(TageConfig {
+    let err = refuse(tage(TageConfig {
         tables: 3,
         ..TageConfig::default_spec()
-    });
-    let err = t.restore(&snap).unwrap_err();
-    assert!(err.contains("tagged tables"), "{err}");
+    }));
+    assert!(
+        err.contains("tagged tables") && err.contains('4') && err.contains('3'),
+        "{err}"
+    );
     // Different per-table entry count.
-    let mut t = fresh(TageConfig {
+    let err = refuse(tage(TageConfig {
         table_bits: 9,
         ..TageConfig::default_spec()
-    });
-    let err = t.restore(&snap).unwrap_err();
-    assert!(err.contains("entries"), "{err}");
+    }));
+    assert!(err.contains("entries per table"), "{err}");
     // Different base sizing.
-    let mut t = Tage::new(1024, TageConfig::default_spec());
-    let err = t.restore(&snap).unwrap_err();
-    assert!(err.contains("base table"), "{err}");
+    let err = refuse(PredictorConfig {
+        table_size: 1024,
+        ..tage(TageConfig::default_spec())
+    });
+    assert!(err.contains("base entries"), "{err}");
+    // Different useful-bit decay period (not a table size, but part of
+    // the state's meaning).
+    let err = refuse(tage(TageConfig {
+        u_decay_period: 64,
+        ..TageConfig::default_spec()
+    }));
+    assert!(err.contains("decay period"), "{err}");
     // Wrong kind entirely.
-    let mut t = fresh(TageConfig::default_spec());
-    let err = t
-        .restore(&DirSnapshot::Bimodal {
-            counters: vec![1; 2048],
-        })
-        .unwrap_err();
+    let err = refuse(PredictorConfig::paper());
     assert!(err.contains("bimodal") && err.contains("tage"), "{err}");
 }
 
@@ -186,14 +199,12 @@ fn two_identical_runs_are_bit_identical() {
         a.update(pc, taken);
         b.update(pc, taken);
     }
-    assert_eq!(a.snapshot(), b.snapshot(), "no hidden nondeterminism");
+    assert_eq!(a, b, "no hidden nondeterminism");
     assert_eq!(a.detail(), b.detail());
 }
 
 #[test]
 fn facade_runs_tage_end_to_end_and_beats_bimodal_on_history() {
-    use spear_isa::reg::*;
-    use spear_isa::{Inst, Opcode};
     let b = Inst::new(Opcode::Bne, R0, R1, R0, 5);
     let run = |kind: PredictorKind| {
         let cfg = PredictorConfig {

@@ -6,25 +6,26 @@
 //!
 //! - **architectural state** — the register file, the full memory image
 //!   and the next PC, produced by the functional [`Interp`];
-//! - **warm microarchitectural state** — cache hierarchy contents (tags,
-//!   validity, dirtiness, LRU order) and branch-predictor state
-//!   (direction counters, BTB, return stack), accumulated by a
-//!   `Warmer` that observes every functionally executed instruction.
+//! - **warm microarchitectural state** — copies of the [`Hierarchy`] and
+//!   [`Predictor`] that a `Warmer` drives over every functionally
+//!   executed instruction: cache contents (tags, validity, dirtiness, LRU
+//!   order) and predictor state (direction tables, BTB, return stack).
 //!
-//! Warm state is deliberately *quiesced*: nothing is in flight. In-flight
-//! fills, prefetch ownership and all statistics are reset on restore so a
-//! restored simulation measures only its own region. The warm substrate
+//! Restore copies only that warm state into the core's own hierarchy and
+//! predictor. In-flight fills, prefetch ownership and all statistics are
+//! reset, so a restored simulation measures only its own region, and the
+//! core keeps its own latencies. The warm substrate
 //! (Table 2 cache geometry + predictor sizing) is shared by all five
 //! evaluated machine models and is independent of the memory-latency
 //! sweep, so one functional pass per workload yields checkpoints reusable
 //! across every (machine, latency) point of a campaign.
 
 use crate::sample::SampleSpec;
-use spear_bpred::{Predictor, PredictorConfig, PredictorSnapshot};
+use spear_bpred::{Predictor, PredictorConfig};
 use spear_cpu::Core;
 use spear_exec::{Interp, Memory, RegFile, StepInfo};
 use spear_isa::Program;
-use spear_mem::{AccessKind, HierConfig, HierSnapshot, Hierarchy};
+use spear_mem::{AccessKind, HierConfig, Hierarchy};
 
 /// A restorable simulation state at an instruction boundary.
 #[derive(Clone, Debug)]
@@ -44,10 +45,10 @@ pub struct Checkpoint {
     pub regs: RegFile,
     /// Full data-memory image.
     pub mem: Memory,
-    /// Warm cache hierarchy contents.
-    pub hier: HierSnapshot,
-    /// Warm branch-predictor state.
-    pub pred: PredictorSnapshot,
+    /// The warm cache hierarchy (only its three caches are restored).
+    pub hier: Hierarchy,
+    /// The warm branch predictor.
+    pub pred: Predictor,
 }
 
 impl Checkpoint {
@@ -60,8 +61,8 @@ impl Checkpoint {
             pc: interp.pc,
             regs: interp.regs.clone(),
             mem: interp.mem.clone(),
-            hier: warmer.hier_snapshot(),
-            pred: warmer.pred_snapshot(),
+            hier: warmer.hier.clone(),
+            pred: warmer.pred.clone(),
         }
     }
 
@@ -153,16 +154,6 @@ impl Warmer {
             };
             self.hier.access_data(ea, kind, si.pc, false, self.now);
         }
-    }
-
-    /// Warm cache contents accumulated so far.
-    pub fn hier_snapshot(&self) -> HierSnapshot {
-        self.hier.snapshot()
-    }
-
-    /// Warm predictor state accumulated so far.
-    pub fn pred_snapshot(&self) -> PredictorSnapshot {
-        self.pred.snapshot()
     }
 }
 
@@ -367,7 +358,9 @@ mod tests {
             assert_eq!(a.pc, b.pc);
             assert_eq!(a.regs, b.regs);
             assert_eq!(a.mem, b.mem);
-            assert_eq!(a.hier, b.hier);
+            assert_eq!(a.hier.l1d, b.hier.l1d);
+            assert_eq!(a.hier.l1i, b.hier.l1i);
+            assert_eq!(a.hier.l2, b.hier.l2);
             assert_eq!(a.pred, b.pred);
         }
         // A boundary past halt is a loud error, not a silent omission.
@@ -426,16 +419,17 @@ mod tests {
         let warm = &set.checkpoints[1];
         assert_eq!(cold.inst_index, 0);
         // The cold checkpoint has empty caches; the warm one does not.
-        let cold_valid: u32 = cold.hier.l1d.flags.iter().map(|&f| (f & 1) as u32).sum();
-        let warm_valid: u32 = warm.hier.l1d.flags.iter().map(|&f| (f & 1) as u32).sum();
-        assert_eq!(cold_valid, 0);
-        assert!(warm_valid > 0, "functional warming filled L1D lines");
+        assert!(cold.hier.l1d.valid_block_addrs().is_empty());
+        assert!(
+            !warm.hier.l1d.valid_block_addrs().is_empty(),
+            "functional warming filled L1D lines"
+        );
         // The loop branch trained the bimodal table away from its reset
-        // state (all counters weakly-not-taken = 1).
-        let spear_bpred::DirSnapshot::Bimodal { counters } = &warm.pred.dir else {
-            panic!("paper default is bimodal, got {:?}", warm.pred.dir.kind());
-        };
-        assert!(counters.iter().any(|&c| c != 1));
+        // state (weakly not-taken): the warm copy predicts it taken.
+        let pc = p.insts.iter().position(|i| i.op.is_ctrl()).unwrap() as u32;
+        let bne = p.insts[pc as usize];
+        assert_eq!(cold.pred.clone().predict(pc, &bne).taken, Some(false));
+        assert_eq!(warm.pred.clone().predict(pc, &bne).taken, Some(true));
     }
 
     #[test]
@@ -446,6 +440,6 @@ mod tests {
             capture_interval_checkpoints(&p, "chase", HierConfig::paper(), cfg, 200, 1, 1_000_000)
                 .unwrap();
         let warm = &set.checkpoints[1];
-        assert_eq!(warm.pred.dir.kind(), spear_bpred::PredictorKind::Tage);
+        assert_eq!(warm.pred.kind(), spear_bpred::PredictorKind::Tage);
     }
 }

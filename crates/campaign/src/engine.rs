@@ -218,8 +218,8 @@ pub struct WorkloadData {
 }
 
 /// Dominated by the per-checkpoint memory images; the binary and plan
-/// are a flat base charge, and cache/predictor snapshots a flat overhead
-/// per checkpoint, rather than measured field by field.
+/// are a flat base charge, and each checkpoint's warm hierarchy and
+/// predictor a flat overhead, rather than measured field by field.
 impl ApproxBytes for WorkloadData {
     fn approx_bytes(&self) -> u64 {
         const BASE_OVERHEAD: u64 = 64 * 1024;

@@ -12,7 +12,7 @@
 //!   engine all reach it, so a spec the engine would reject is rejected
 //!   before any directory is created or any job is queued.
 //! * [`CellKey`] names one cell, [`ShardKey`] one prepared shard, and
-//!   [`ManifestDoc`] fingerprints the whole spec so a resume into the
+//!   `ManifestDoc` fingerprints the whole spec so a resume into the
 //!   wrong directory fails loudly.
 //!
 //! A new sweep axis is a field here, threaded through these types, plus

@@ -12,7 +12,7 @@ use spear_cpu::{Core, CoreConfig};
 use spear_isa::asm::Asm;
 use spear_isa::reg::*;
 use spear_isa::{Program, SpearBinary};
-use spear_mem::HierConfig;
+use spear_mem::{HierConfig, LatencyConfig};
 
 /// A short reduction loop: enough conditional branches to train warm
 /// predictor state during the functional pass.
@@ -128,4 +128,25 @@ fn tage_geometry_mismatch_is_rejected_loudly() {
         err.contains("tagged tables"),
         "error must point at the table-count mismatch: {err}"
     );
+}
+
+#[test]
+fn one_checkpoint_seeds_every_latency_point_without_touching_latency() {
+    // One warm shard serves every Figure 9 latency point, so restore
+    // copies the warm caches and leaves the core's own latencies alone.
+    let cp = checkpoint_with(PredictorConfig::paper());
+    assert_eq!(cp.hier.latency, LatencyConfig::paper());
+    let binary = SpearBinary::plain(loop_program());
+    let warm_lines = cp.hier.l1d.valid_block_addrs();
+    assert!(!warm_lines.is_empty(), "the loop warmed the L1D");
+    for memory in [40, 200] {
+        let mut cfg = CoreConfig::baseline();
+        cfg.hier.latency = LatencyConfig::sweep_point(memory);
+        let mut core = Core::new(&binary, cfg);
+        cp.restore_into(&mut core).expect("same substrate");
+        let hier = core.hierarchy();
+        assert_eq!(hier.latency.memory, memory, "the core keeps its latency");
+        assert_eq!(hier.latency, LatencyConfig::sweep_point(memory));
+        assert_eq!(hier.l1d.valid_block_addrs(), warm_lines, "warm caches");
+    }
 }

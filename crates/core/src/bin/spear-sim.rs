@@ -615,8 +615,9 @@ fn fuzz_main(args: Vec<String>) -> ! {
     })
 }
 
-/// The `dump-config` subcommand: print the fully resolved [`CoreConfig`]
-/// a machine model would run with, as pretty-printed JSON. Useful for
+/// The `dump-config` subcommand: print the fully resolved
+/// [`spear_cpu::CoreConfig`] a machine model would run with, as
+/// pretty-printed JSON. Useful for
 /// diffing machine models and for documenting exactly what a paper figure
 /// was produced with.
 fn dump_config_main(args: Vec<String>) -> ! {
@@ -646,8 +647,8 @@ fn dump_config_main(args: Vec<String>) -> ! {
     // The resolved config JSON carries the predictor kind and sizing; the
     // derived direction-table geometry is summarized on stderr so the
     // stdout document stays pure config.
-    let pred = spear_bpred::Predictor::new(cfg.bpred);
-    let geom: Vec<String> = pred
+    let geom: Vec<String> = cfg
+        .bpred
         .geometry()
         .iter()
         .map(|(k, v)| format!("{k}={v}"))
@@ -655,7 +656,7 @@ fn dump_config_main(args: Vec<String>) -> ! {
     eprintln!(
         "# bpred {} ({}): {}",
         cfg.bpred.spec_label(),
-        pred.kind().name(),
+        cfg.bpred.kind.name(),
         geom.join(" ")
     );
     println!("{}", serde::json::to_string_pretty(&cfg));

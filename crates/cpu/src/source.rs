@@ -56,7 +56,7 @@ pub trait ExecSource {
     fn tracks_registers(&self) -> bool;
 
     /// True-path instructions consumed so far — the replay cursor a
-    /// checkpoint snapshot records.
+    /// checkpoint records.
     fn cursor(&self) -> u64;
 
     /// Short label for diagnostics ("program", "trace").

@@ -133,33 +133,8 @@ impl CacheStats {
     }
 }
 
-/// Image of a cache's tag array and replacement state, used by the
-/// checkpointing subsystem (`spear-campaign`) to carry *warm* cache
-/// contents across a capture/restore boundary. Statistics are not part
-/// of the snapshot: a restored cache starts counting from zero.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Geometry fingerprint (`sets`, `assoc`, `block_bytes`) — restore
-    /// refuses a snapshot taken under a different shape.
-    pub sets: u64,
-    /// Ways per set at capture time.
-    pub assoc: u64,
-    /// Block size in bytes at capture time.
-    pub block_bytes: u64,
-    /// Per-line tags, set-major (`set * assoc + way`).
-    pub tags: Vec<u64>,
-    /// Per-line flag bytes: bit 0 = valid, bit 1 = dirty.
-    pub flags: Vec<u8>,
-    /// Per-line replacement stamps (LRU touch / FIFO fill order).
-    pub stamps: Vec<u64>,
-    /// Global access tick, so relative LRU ordering survives restore.
-    pub tick: u64,
-    /// Replacement RNG state (Random policy determinism across restore).
-    pub rng: u64,
-}
-
 /// The cache proper. Write-back, write-allocate.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cache {
     geom: CacheGeometry,
     policy: ReplPolicy,
@@ -372,50 +347,24 @@ impl Cache {
         self.stamps.fill(0);
     }
 
-    /// Capture the tag array and replacement state (not the statistics).
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            sets: self.geom.sets as u64,
-            assoc: self.geom.assoc as u64,
-            block_bytes: self.geom.block_bytes as u64,
-            tags: self.tags.clone(),
-            flags: self.flags.clone(),
-            stamps: self.stamps.clone(),
-            tick: self.tick,
-            rng: self.rng,
-        }
-    }
-
-    /// Load a snapshot captured from a cache of identical geometry,
-    /// replacing current contents. Statistics are reset so a restored
-    /// simulation counts only its own accesses.
+    /// Copy the tag array and replacement state of a warm cache built
+    /// with the same geometry and policy, replacing current contents
+    /// without allocating. Statistics are zeroed so a restored simulation
+    /// counts only its own accesses.
     ///
-    /// Returns an error naming the mismatch if the snapshot's geometry
-    /// fingerprint disagrees with this cache.
-    pub fn restore(&mut self, snap: &CacheSnapshot) -> Result<(), String> {
-        let want = (
-            self.geom.sets as u64,
-            self.geom.assoc as u64,
-            self.geom.block_bytes as u64,
-        );
-        let got = (snap.sets, snap.assoc, snap.block_bytes);
-        if want != got {
+    /// Returns an error naming both shapes if they differ.
+    pub fn restore(&mut self, warm: &Cache) -> Result<(), String> {
+        if (self.geom, self.policy) != (warm.geom, warm.policy) {
             return Err(format!(
-                "cache snapshot geometry {got:?} != cache geometry {want:?}"
+                "warm cache is {:?} {:?}, live cache is {:?} {:?}",
+                warm.geom, warm.policy, self.geom, self.policy
             ));
         }
-        let n = self.tags.len();
-        if snap.tags.len() != n || snap.flags.len() != n || snap.stamps.len() != n {
-            return Err(format!(
-                "cache snapshot has {} lines, cache has {n}",
-                snap.tags.len()
-            ));
-        }
-        self.tags.clone_from(&snap.tags);
-        self.flags.clone_from(&snap.flags);
-        self.stamps.clone_from(&snap.stamps);
-        self.tick = snap.tick;
-        self.rng = snap.rng;
+        self.tags.clone_from(&warm.tags);
+        self.flags.clone_from(&warm.flags);
+        self.stamps.clone_from(&warm.stamps);
+        self.tick = warm.tick;
+        self.rng = warm.rng;
         self.stats = CacheStats::default();
         Ok(())
     }
@@ -542,15 +491,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_preserves_contents_and_lru_order() {
+    fn restore_preserves_contents_and_lru_order() {
         let mut c = small();
         c.access(0, false);
         c.access(64, true); // dirty
         c.access(0, false); // tag 1 now LRU in set 0
-        let snap = c.snapshot();
 
         let mut fresh = small();
-        fresh.restore(&snap).expect("matching geometry");
+        fresh.restore(&c).expect("matching geometry");
         assert!(fresh.probe(0) && fresh.probe(64));
         assert_eq!(fresh.stats, CacheStats::default(), "stats reset on restore");
 
@@ -566,9 +514,8 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_geometry_mismatch() {
+    fn restore_rejects_geometry_or_policy_mismatch() {
         let c = small();
-        let snap = c.snapshot();
         let mut other = Cache::new(
             CacheGeometry {
                 sets: 8,
@@ -577,7 +524,11 @@ mod tests {
             },
             ReplPolicy::Lru,
         );
-        assert!(other.restore(&snap).is_err());
+        let err = other.restore(&c).unwrap_err();
+        assert!(err.contains("sets: 4") && err.contains("sets: 8"), "{err}");
+        let mut fifo = Cache::new(c.geometry(), ReplPolicy::Fifo);
+        let err = fifo.restore(&c).unwrap_err();
+        assert!(err.contains("Lru") && err.contains("Fifo"), "{err}");
     }
 
     #[test]

@@ -601,30 +601,22 @@ impl Hierarchy {
             .count()
     }
 
-    /// Capture the warm contents of all three caches (tags, validity,
-    /// dirtiness, replacement order). In-flight fills, prefetch ownership
-    /// maps and statistics are *not* captured: a snapshot represents a
-    /// quiesced hierarchy, as produced by functional warming, not a
-    /// mid-flight one.
-    pub fn snapshot(&self) -> HierSnapshot {
-        HierSnapshot {
-            l1d: self.l1d.snapshot(),
-            l1i: self.l1i.snapshot(),
-            l2: self.l2.snapshot(),
-        }
-    }
-
-    /// Load warm cache contents captured under an identical geometry,
-    /// resetting statistics, pending fills and prefetch bookkeeping so
-    /// the restored hierarchy observes only its own accesses.
-    pub fn restore(&mut self, snap: &HierSnapshot) -> Result<(), String> {
+    /// Copy the warm contents of another hierarchy's three caches (tags,
+    /// validity, dirtiness, replacement order), built under the same
+    /// cache geometry and policy. Nothing else is copied: this
+    /// hierarchy's latencies, MSHR limit, stride prefetcher and seeded
+    /// d-load profile keys stay its own, so one warm hierarchy seeds
+    /// cores at every Figure 9 latency point. Statistics, pending fills
+    /// and prefetch bookkeeping are reset, so the restored hierarchy
+    /// observes only its own accesses.
+    pub fn restore(&mut self, warm: &Hierarchy) -> Result<(), String> {
         self.l1d
-            .restore(&snap.l1d)
+            .restore(&warm.l1d)
             .map_err(|e| format!("l1d: {e}"))?;
         self.l1i
-            .restore(&snap.l1i)
+            .restore(&warm.l1i)
             .map_err(|e| format!("l1i: {e}"))?;
-        self.l2.restore(&snap.l2).map_err(|e| format!("l2: {e}"))?;
+        self.l2.restore(&warm.l2).map_err(|e| format!("l2: {e}"))?;
         self.pc_misses = PcMissCounts::default();
         self.pthread_misses = 0;
         self.pthread_accesses = 0;
@@ -644,18 +636,6 @@ impl Hierarchy {
         self.hw_prefetch_fills = 0;
         Ok(())
     }
-}
-
-/// Image of the warm contents of a [`Hierarchy`]'s three caches. See
-/// [`Hierarchy::snapshot`] for what is (and is not) captured.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HierSnapshot {
-    /// L1 data cache contents.
-    pub l1d: crate::cache::CacheSnapshot,
-    /// L1 instruction cache contents.
-    pub l1i: crate::cache::CacheSnapshot,
-    /// Unified L2 contents.
-    pub l2: crate::cache::CacheSnapshot,
 }
 
 #[cfg(test)]
@@ -818,13 +798,13 @@ mod tests {
         let mut h = hier();
         h.seed_dload_profiles([7, 9]);
         assert_eq!(h.dload_profile(7), PrefetchCounts::default());
-        // Accumulate into a seeded row, then restore from a snapshot:
+        // Accumulate into a seeded row, then restore from a warm copy:
         // the counts reset but the key set stays in place.
         h.set_prefetch_owner(Some(7));
         h.access_data(0x4000, AccessKind::Read, 7, true, 0);
         assert_eq!(h.dload_profile(7).pthread_loads, 1);
-        let snap = h.snapshot();
-        h.restore(&snap).unwrap();
+        let warm = h.clone();
+        h.restore(&warm).unwrap();
         assert_eq!(h.dload_profile(7), PrefetchCounts::default());
         assert_eq!(
             h.dload_profiles()
@@ -942,19 +922,19 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_snapshot_restore_reproduces_hit_pattern() {
+    fn hierarchy_restore_reproduces_hit_pattern() {
         let mut h = hier();
         // Warm a few data blocks and an instruction block.
         for i in 0..8u64 {
             h.access_data(0x4000 + i * 32, AccessKind::Read, 7, false, 0);
         }
         h.access_inst(0x100);
-        let snap = h.snapshot();
 
         let mut fresh = hier();
-        fresh.restore(&snap).expect("same geometry");
+        fresh.restore(&h).expect("same geometry");
         // Warm lines hit in the restored hierarchy; nothing is in flight
-        // (the snapshot is quiesced), so hits cost exactly the L1 latency.
+        // (pending fills are not copied), so hits cost exactly the L1
+        // latency.
         let a = fresh.access_data(0x4000, AccessKind::Read, 7, false, 0);
         assert_eq!(a.served_by, ServedBy::L1);
         assert_eq!(a.latency, 1);

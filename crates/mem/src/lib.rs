@@ -10,9 +10,9 @@ pub mod cache;
 pub mod hier;
 pub mod prefetch;
 
-pub use cache::{AccessResult, Cache, CacheGeometry, CacheSnapshot, CacheStats, ReplPolicy};
+pub use cache::{AccessResult, Cache, CacheGeometry, CacheStats, ReplPolicy};
 pub use hier::{
-    AccessKind, FillRecord, HierConfig, HierSnapshot, Hierarchy, LatencyConfig, MemAccess,
-    PcMissCounts, PrefetchCounts, ServedBy,
+    AccessKind, FillRecord, HierConfig, Hierarchy, LatencyConfig, MemAccess, PcMissCounts,
+    PrefetchCounts, ServedBy,
 };
 pub use prefetch::{StrideConfig, StridePrefetcher};

@@ -804,12 +804,11 @@ fn metrics(state: &Arc<State>) -> Response {
             let Ok(cfg) = spear_bpred::PredictorConfig::paper().with_spec(spec) else {
                 continue;
             };
-            let pred = spear_bpred::Predictor::new(cfg);
             let label = cfg.spec_label();
-            for (dim, value) in pred.geometry() {
+            for (dim, value) in cfg.geometry() {
                 out.push_str(&format!(
                     "spear_serve_running_bpred_geometry{{spec=\"{label}\",kind=\"{}\",dim=\"{dim}\"}} {value}\n",
-                    pred.kind().name(),
+                    cfg.kind.name(),
                 ));
             }
         }
