@@ -200,7 +200,6 @@ fn two_identical_runs_are_bit_identical() {
         b.update(pc, taken);
     }
     assert_eq!(a, b, "no hidden nondeterminism");
-    assert_eq!(a.detail(), b.detail());
 }
 
 #[test]

@@ -14,11 +14,11 @@
 //! Restore copies only that warm state into the core's own hierarchy and
 //! predictor. In-flight fills, prefetch ownership and all statistics are
 //! reset, so a restored simulation measures only its own region, and the
-//! core keeps its own latencies. The warm substrate
-//! (Table 2 cache geometry + predictor sizing) is shared by all five
-//! evaluated machine models and is independent of the memory-latency
-//! sweep, so one functional pass per workload yields checkpoints reusable
-//! across every (machine, latency) point of a campaign.
+//! core keeps its own latencies. The warm substrate (Table 2 cache
+//! geometry + predictor sizing) is shared by all five evaluated machine
+//! models and is independent of the memory-latency sweep, so one
+//! functional pass per workload yields checkpoints reusable across every
+//! (machine, latency) point of a campaign.
 
 use crate::sample::SampleSpec;
 use spear_bpred::{Predictor, PredictorConfig};
