@@ -1,6 +1,6 @@
 //! The simulator façade: the per-cycle stage loop over a
-//! [`crate::pipeline::Pipeline`] driven by a pluggable front-end
-//! extension.
+//! [`crate::pipeline::Pipeline`] and the SPEAR front end driving its
+//! p-thread context.
 //!
 //! # Pipeline model
 //!
@@ -21,14 +21,13 @@
 //!   `commit_regs` for live-in copies and final-state checks.
 //!
 //! The stages live in [`crate::stage`] as free functions over the shared
-//! pipeline state; everything SPEAR-specific lives in [`crate::spear`]
-//! behind the [`crate::frontend::FrontEndExt`] trait. A binary with
-//! `cfg.spear == None` runs the no-op [`BaselineFrontEnd`] and behaves as
-//! the baseline superscalar.
+//! pipeline state; everything SPEAR-specific lives in [`crate::spear`],
+//! in the [`SpearFrontEnd`] whose hooks the stages call. The baseline
+//! superscalar (`cfg.spear == None`) is that front end over an empty
+//! p-thread table: it never marks, triggers or extracts anything.
 
-use crate::config::CoreConfig;
+use crate::config::{CoreConfig, SpearConfig};
 use crate::ctx::{MAIN_CTX, PTHREAD_CTX};
-use crate::frontend::{BaselineFrontEnd, FrontEndExt};
 use crate::pipeline::Pipeline;
 use crate::probe::{self, Probe};
 use crate::spear::SpearFrontEnd;
@@ -81,17 +80,18 @@ pub struct RunResult {
 /// window admits).
 pub(crate) const DEADLOCK_CYCLES: u64 = 200_000;
 
-/// The simulator: shared pipeline state plus the front-end extension
-/// driving its p-thread context.
+/// The simulator: shared pipeline state plus the front end driving its
+/// p-thread context.
 pub struct Core<'p> {
     pipe: Pipeline<'p>,
-    fe: Box<dyn FrontEndExt + 'p>,
+    fe: SpearFrontEnd<'p>,
 }
 
 impl<'p> Core<'p> {
     /// Build a core for `binary` under `cfg`. A binary with an empty
-    /// p-thread table (or `cfg.spear == None`) behaves as the baseline
-    /// superscalar.
+    /// p-thread table behaves as the baseline superscalar, and the
+    /// baseline (`cfg.spear == None`) ignores the table its binary
+    /// carries.
     pub fn new(binary: &'p SpearBinary, cfg: CoreConfig) -> Core<'p> {
         let source = Box::new(crate::source::ProgramSource::new(&binary.program));
         Core::with_source(binary, cfg, source)
@@ -108,23 +108,17 @@ impl<'p> Core<'p> {
         cfg: CoreConfig,
         source: Box<dyn crate::source::ExecSource + 'p>,
     ) -> Core<'p> {
-        let fe: Box<dyn FrontEndExt + 'p> = match cfg.spear {
-            Some(sp) => Box::new(SpearFrontEnd::new(
-                sp,
-                &binary.table.entries,
-                binary.program.len(),
-            )),
-            None => Box::new(BaselineFrontEnd),
+        let (sp, table) = match cfg.spear {
+            Some(sp) => (sp, binary.table.entries.as_slice()),
+            None => (SpearConfig::default(), &[][..]),
         };
-        let is_spear = cfg.spear.is_some();
+        let fe = SpearFrontEnd::new(sp, table, binary.program.len());
         let mut pipe = Pipeline::with_source(&binary.program, source, cfg);
-        if is_spear {
-            // Pre-size the hierarchy's per-d-load profile map: the key
-            // set is exactly the table's d-load PCs, so seeding it here
-            // keeps the hot classification paths from ever rehashing.
-            pipe.hier
-                .seed_dload_profiles(binary.table.entries.iter().map(|e| e.dload_pc));
-        }
+        // Pre-size the hierarchy's per-d-load profile map: the key set is
+        // exactly the table's d-load PCs, so seeding it here keeps the hot
+        // classification paths from ever rehashing.
+        pipe.hier
+            .seed_dload_profiles(table.iter().map(|e| e.dload_pc));
         Core { pipe, fe }
     }
 
@@ -146,7 +140,7 @@ impl<'p> Core<'p> {
     /// extraction → dispatch → fetch.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
         let pipe = &mut self.pipe;
-        let fe = self.fe.as_mut();
+        let fe = &mut self.fe;
         pipe.cycle += 1;
         pipe.stats.cycles = pipe.cycle;
         stage::commit::run(pipe, fe);

@@ -7,7 +7,9 @@
 //! a d-load detector, trigger logic with the IFQ-occupancy condition and
 //! live-in copying, the P-thread Extractor, priority issue for the
 //! p-thread, and optional dedicated p-thread functional units (the `.sf`
-//! models of Figure 7).
+//! models of Figure 7). The SPEAR hardware lives in one front end,
+//! [`spear::SpearFrontEnd`]; the baseline machine is that front end over an
+//! empty p-thread table, so it has nothing to pre-execute.
 //!
 //! Committed architectural state is bit-identical to the
 //! [`spear_exec::Interp`] golden model by construction (execute-at-dispatch
@@ -24,7 +26,6 @@ pub mod config;
 pub mod core;
 pub mod ctx;
 pub mod export;
-pub mod frontend;
 pub mod fu;
 pub mod hist;
 pub mod ifq;
@@ -42,7 +43,6 @@ pub use crate::core::{Core, RunResult, SimError};
 pub use config::{CoreConfig, OpLatencies, SpearConfig};
 pub use ctx::{CtxId, HwContext, MAIN_CTX, PTHREAD_CTX};
 pub use export::{SimPerf, SimpointBlock, StatsExport, SCHEMA_VERSION};
-pub use frontend::{BaselineFrontEnd, FrontEndExt};
 pub use hist::Histogram;
 pub use machine::Machine;
 pub use probe::{

@@ -5,8 +5,8 @@
 //! image, commit-order registers), the backend (RUU entries, the two
 //! [`HwContext`]s, functional-unit pools, the cache hierarchy), and the
 //! inter-stage latches. The stage modules in [`crate::stage`] are free
-//! functions over this struct; front-end extensions
-//! ([`crate::frontend::FrontEndExt`]) receive `&mut Pipeline` at their
+//! functions over this struct; the SPEAR front end
+//! ([`crate::spear::SpearFrontEnd`]) receives `&mut Pipeline` at its
 //! hook points.
 
 use crate::config::CoreConfig;

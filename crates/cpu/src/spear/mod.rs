@@ -1,7 +1,8 @@
-//! The SPEAR front-end extension (§3).
+//! The SPEAR front end (§3).
 //!
 //! Everything that turns the baseline superscalar into the SPEAR machine
-//! lives here, behind [`crate::frontend::FrontEndExt`]:
+//! lives here, in [`SpearFrontEnd`], whose hooks the stage modules call at
+//! fixed points of the cycle:
 //!
 //! * **Pre-decode (PD)** marks IFQ entries whose PC is in the p-thread
 //!   table and detects delinquent loads.
@@ -17,6 +18,10 @@
 //!   p-thread RUU, or aborts on an IFQ flush or if main decode consumes
 //!   the triggering d-load first — unless the `rearm_after_flush` /
 //!   `retarget_missed` extensions re-arm it.
+//!
+//! The baseline superscalar is this front end over an empty p-thread
+//! table: nothing is marked, no d-load is detected, no episode ever
+//! starts, and every hook leaves the pipeline untouched.
 
 mod view;
 
@@ -24,7 +29,6 @@ pub use view::PthreadView;
 
 use crate::config::SpearConfig;
 use crate::ctx::{MAIN_CTX, PTHREAD_CTX};
-use crate::frontend::{FrontEndExt, PreDecode};
 use crate::ifq::IfqEntry;
 use crate::pipeline::{EState, Pipeline, RuuEntry};
 use crate::probe::{AbortReason, Event};
@@ -78,9 +82,24 @@ struct EpisodeTally {
     aborted: u64,
 }
 
+/// Pre-decode result for one fetched PC.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct PreDecode {
+    /// The p-thread indicator: the PC is in a p-thread member set.
+    pub(crate) marked: bool,
+    /// The PC is a delinquent load (a p-thread table trigger point).
+    pub(crate) dload: bool,
+}
+
 /// The SPEAR front end: owns the p-thread table view, the episode state
 /// machine, and the per-d-load accounting; drives the speculative
 /// context [`PTHREAD_CTX`].
+///
+/// Hook order within one cycle (see `Core::step_cycle`): `update` runs
+/// between writeback and issue; `extract` runs between issue and
+/// dispatch and returns the decode bandwidth it consumed; the `on_*`
+/// hooks fire from inside the stages at the architectural events they
+/// are named after.
 pub struct SpearFrontEnd<'p> {
     cfg: SpearConfig,
     pt_entries: &'p [PThreadEntry],
@@ -107,7 +126,8 @@ pub struct SpearFrontEnd<'p> {
 
 impl<'p> SpearFrontEnd<'p> {
     /// Build the front end for a p-thread table over a program of
-    /// `program_len` instructions.
+    /// `program_len` instructions. Over an empty table it is the
+    /// baseline's front end.
     pub fn new(
         cfg: SpearConfig,
         table: &'p [PThreadEntry],
@@ -411,17 +431,21 @@ impl<'p> SpearFrontEnd<'p> {
     }
 }
 
-impl FrontEndExt for SpearFrontEnd<'_> {
-    fn pre_decode(&self, pc: u32) -> PreDecode {
+/// The pipeline hooks.
+impl SpearFrontEnd<'_> {
+    /// Pre-decode tap: the indicator bits for a PC entering the IFQ.
+    pub(crate) fn pre_decode(&self, pc: u32) -> PreDecode {
         PreDecode {
             marked: self.marked_pcs.get(pc as usize).copied().unwrap_or(false),
             dload: self.dload_idx.contains_key(&pc),
         }
     }
 
-    /// PD: a d-load detection may trigger pre-execution (§3.2), or re-arm
-    /// a flush-orphaned episode onto this fresh instance.
-    fn on_dload_fetched(&mut self, pipe: &mut Pipeline, ifq_seq: u64, pc: u32) {
+    /// Fetch pushed a delinquent load into the IFQ (`ifq_seq` is its
+    /// fetch sequence number). PD: the detection may trigger
+    /// pre-execution (§3.2), or re-arm a flush-orphaned episode onto this
+    /// fresh instance.
+    pub(crate) fn on_dload_fetched(&mut self, pipe: &mut Pipeline, ifq_seq: u64, pc: u32) {
         let threshold = (pipe.ifq.capacity() as f64 * self.cfg.trigger_fraction) as usize;
         if self.retarget_deadline.is_some() && self.mode_dload_pc() == Some(pc) {
             // Re-arm only once the queue again holds enough slack for the
@@ -435,7 +459,8 @@ impl FrontEndExt for SpearFrontEnd<'_> {
         }
     }
 
-    fn update(&mut self, pipe: &mut Pipeline) {
+    /// Per-cycle state-machine update, between writeback and issue.
+    pub(crate) fn update(&mut self, pipe: &mut Pipeline) {
         if let Some(deadline) = self.retarget_deadline {
             if pipe.cycle > deadline {
                 self.retarget_deadline = None;
@@ -519,8 +544,9 @@ impl FrontEndExt for SpearFrontEnd<'_> {
     }
 
     /// PE extraction (§3.2): pull up to `pe_bandwidth` marked entries
-    /// from the IFQ scan position into the p-thread RUU.
-    fn extract(&mut self, pipe: &mut Pipeline) -> DecodePort {
+    /// from the IFQ scan position into the p-thread RUU, sharing decode
+    /// bandwidth with the main thread.
+    pub(crate) fn extract(&mut self, pipe: &mut Pipeline) -> DecodePort {
         let Mode::PreExec {
             dload_seq,
             dload_pc,
@@ -566,10 +592,12 @@ impl FrontEndExt for SpearFrontEnd<'_> {
         DecodePort { pe_used: used }
     }
 
-    /// A marked instruction consumed by main decode while the PE is
-    /// active was missed; if it is the triggering d-load, the episode can
-    /// never finish — abort (or re-target) it.
-    fn on_main_decode(&mut self, pipe: &mut Pipeline, seq: u64, marked: bool) {
+    /// Main decode consumed the IFQ entry with fetch sequence `seq`
+    /// (`marked` is its indicator at consumption time). A marked
+    /// instruction consumed while the PE is active was missed; if it is
+    /// the triggering d-load, the episode can never finish — abort (or
+    /// re-target) it.
+    pub(crate) fn on_main_decode(&mut self, pipe: &mut Pipeline, seq: u64, marked: bool) {
         match self.mode {
             Mode::PreExec {
                 dload_seq,
@@ -601,13 +629,14 @@ impl FrontEndExt for SpearFrontEnd<'_> {
         }
     }
 
-    /// An active episode loses its IFQ entries, including the remembered
-    /// trigger d-load entry. Paper behaviour: the episode dies with the
-    /// queue. With the `rearm_after_flush` extension the p-thread context
-    /// survives and the PD re-arms the trigger onto the next fetched
-    /// instance of the same static d-load (abandoned if none shows up
-    /// within the deadline).
-    fn on_flush(&mut self, pipe: &mut Pipeline) {
+    /// A branch-misprediction recovery flushed the IFQ: an active episode
+    /// loses its IFQ entries, including the remembered trigger d-load
+    /// entry. Paper behaviour: the episode dies with the queue. With the
+    /// `rearm_after_flush` extension the p-thread context survives and
+    /// the PD re-arms the trigger onto the next fetched instance of the
+    /// same static d-load (abandoned if none shows up within the
+    /// deadline).
+    pub(crate) fn on_flush(&mut self, pipe: &mut Pipeline) {
         if self.mode == Mode::Normal {
             return;
         }
@@ -627,9 +656,9 @@ impl FrontEndExt for SpearFrontEnd<'_> {
         }
     }
 
-    /// The trigger d-load's retirement from the p-thread RUU completes
-    /// the episode.
-    fn on_ctx_retired(&mut self, pipe: &mut Pipeline, entry: &RuuEntry) {
+    /// The p-thread context retired `entry` from its RUU. The trigger
+    /// d-load's retirement completes the episode.
+    pub(crate) fn on_ctx_retired(&mut self, pipe: &mut Pipeline, entry: &RuuEntry) {
         if !entry.is_trigger_dload {
             return;
         }
@@ -642,9 +671,9 @@ impl FrontEndExt for SpearFrontEnd<'_> {
         }
     }
 
-    /// Per-d-load effectiveness profiles, one row per p-thread table
-    /// entry, sorted by static PC.
-    fn harvest_profiles(&self, hier: &Hierarchy) -> Vec<DloadProfile> {
+    /// End-of-run harvest of the per-d-load effectiveness profiles, one
+    /// row per p-thread table entry, sorted by static PC.
+    pub(crate) fn harvest_profiles(&self, hier: &Hierarchy) -> Vec<DloadProfile> {
         let mut pcs: Vec<u32> = self.dload_idx.keys().copied().collect();
         pcs.sort_unstable();
         pcs.into_iter()
@@ -666,7 +695,9 @@ impl FrontEndExt for SpearFrontEnd<'_> {
             .collect()
     }
 
-    fn mode_name(&self) -> String {
+    /// Short state name for viewers ("normal", or the active phase and
+    /// target context, e.g. "preexec@ctx1").
+    pub(crate) fn mode_name(&self) -> String {
         match self.mode {
             Mode::Normal => "normal".to_string(),
             Mode::DrainWait { .. } => format!("drain@{PTHREAD_CTX}"),

@@ -2,15 +2,15 @@
 //! accounting, and p-thread retirement.
 
 use crate::ctx::{MAIN_CTX, PTHREAD_CTX};
-use crate::frontend::FrontEndExt;
 use crate::pipeline::{EState, Pipeline};
+use crate::spear::SpearFrontEnd;
 use crate::stats::StallCause;
 
 /// Retire up to `commit_width` main-context instructions, charge every
 /// unused commit slot to exactly one stall cause, then free completed
 /// p-thread entries (their "retire" consumes no commit bandwidth: they
 /// write no architectural state).
-pub fn run(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt) {
+pub fn run(pipe: &mut Pipeline, fe: &mut SpearFrontEnd) {
     let width = pipe.cfg.commit_width;
     let mut budget = width;
     let mut halted_now = false;

@@ -2,19 +2,15 @@
 
 use crate::core::SimError;
 use crate::ctx::MAIN_CTX;
-use crate::frontend::FrontEndExt;
 use crate::pipeline::{EState, Pipeline, RuuEntry};
 use crate::ruu::SeqId;
+use crate::spear::SpearFrontEnd;
 use crate::stage::{DecodePort, Recovery};
 
 /// Dispatch from the IFQ head into the main-context RUU, with whatever
-/// decode bandwidth the front-end extension's extraction step left
+/// decode bandwidth the SPEAR front end's extraction step left
 /// (§3.2: extraction shares the decode bandwidth).
-pub fn run(
-    pipe: &mut Pipeline,
-    fe: &mut dyn FrontEndExt,
-    port: DecodePort,
-) -> Result<(), SimError> {
+pub fn run(pipe: &mut Pipeline, fe: &mut SpearFrontEnd, port: DecodePort) -> Result<(), SimError> {
     let mut budget = pipe.cfg.decode_width.saturating_sub(port.pe_used);
     while budget > 0 {
         if pipe.main_ctx().order.len() >= pipe.cfg.ruu_size {

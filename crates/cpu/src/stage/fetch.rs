@@ -1,15 +1,15 @@
 //! Fetch: I-cache access, branch prediction, pre-decode, IFQ fill.
 
-use crate::frontend::FrontEndExt;
 use crate::ifq::IfqEntry;
 use crate::pipeline::Pipeline;
+use crate::spear::SpearFrontEnd;
 use spear_isa::{Opcode, Program};
 
 /// Fetch up to `fetch_width` instructions into the IFQ, tagging each
-/// with the front-end extension's pre-decode bits (p-thread indicator,
-/// d-load detection — §3.1) and giving the extension its trigger
+/// with the SPEAR front end's pre-decode bits (p-thread indicator,
+/// d-load detection — §3.1) and giving the front end its trigger
 /// opportunity on every fetched d-load.
-pub fn run(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt) {
+pub fn run(pipe: &mut Pipeline, fe: &mut SpearFrontEnd) {
     if pipe.fetch.halted || pipe.cycle < pipe.fetch.ready_at {
         return;
     }

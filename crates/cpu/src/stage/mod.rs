@@ -6,7 +6,7 @@
 //! port structs below:
 //!
 //! * [`DecodePort`] — extraction → dispatch, same cycle: how much decode
-//!   bandwidth the front-end extension consumed.
+//!   bandwidth the SPEAR front end's extraction consumed.
 //! * [`IssueLatch`] — issue → next cycle's commit-stall classification:
 //!   what the p-thread issued.
 //! * [`RecoveryPort`] — dispatch → writeback: the (single) unresolved
@@ -24,7 +24,7 @@ pub mod writeback;
 
 use crate::ruu::SeqId;
 
-/// Decode-bandwidth port between the front-end extension's extraction
+/// Decode-bandwidth port between the SPEAR front end's extraction
 /// step and main dispatch (§3.2: "extraction shares the decode
 /// bandwidth") — written by extraction, read by dispatch the same cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -2,10 +2,10 @@
 //! recovery.
 
 use crate::ctx::MAIN_CTX;
-use crate::frontend::FrontEndExt;
 use crate::pipeline::{EState, Pipeline};
 use crate::probe::Event;
 use crate::ruu::SeqId;
+use crate::spear::SpearFrontEnd;
 
 /// Complete executing entries whose latency has elapsed, wake their
 /// consumers (in sequence order, for determinism), release completed
@@ -17,7 +17,7 @@ use crate::ruu::SeqId;
 /// entries instead of scanning the whole RUU each cycle. Squashed
 /// entries leave stale calendar ids; the slab's generation check (and
 /// the state check, for a recycled live slot) drops them at pop time.
-pub fn run(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt) {
+pub fn run(pipe: &mut Pipeline, fe: &mut SpearFrontEnd) {
     let now = pipe.cycle;
     let mut completed: Vec<SeqId> = Vec::new();
     while let Some(&std::cmp::Reverse((t, id))) = pipe.exec_done.peek() {
@@ -68,9 +68,9 @@ pub fn run(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt) {
 /// flush the front end, and restart fetch at the true target.
 /// Speculative contexts are independent hardware contexts: their
 /// in-flight instructions only prefetch, so front-end recovery does not
-/// touch them (the front-end extension decides what happens to an
+/// touch them (the SPEAR front end decides what happens to an
 /// active episode via its `on_flush` hook).
-pub fn recover(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt, branch_seq: SeqId, target: u32) {
+pub fn recover(pipe: &mut Pipeline, fe: &mut SpearFrontEnd, branch_seq: SeqId, target: u32) {
     pipe.stats.recoveries += 1;
     let squash: Vec<SeqId> = pipe
         .ruu
@@ -116,9 +116,8 @@ pub fn recover(pipe: &mut Pipeline, fe: &mut dyn FrontEndExt, branch_seq: SeqId,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CoreConfig;
+    use crate::config::{CoreConfig, SpearConfig};
     use crate::ctx::{CtxId, PTHREAD_CTX};
-    use crate::frontend::BaselineFrontEnd;
     use crate::pipeline::RuuEntry;
     use spear_isa::reg::{R0, R1};
     use spear_isa::{DataImage, Inst, Opcode, Program};
@@ -167,7 +166,7 @@ mod tests {
     fn recover_squashes_only_younger_main_context_entries() {
         let program = test_program();
         let mut pipe = Pipeline::new(&program, CoreConfig::spear(128));
-        let mut fe = BaselineFrontEnd;
+        let mut fe = SpearFrontEnd::new(SpearConfig::default(), &[], program.len());
         // Main context: an older entry (seq 1 = the branch), a younger
         // one (seq 4). Speculative context: younger entries (seq 3, 5)
         // that must survive the flush.

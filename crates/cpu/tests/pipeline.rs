@@ -2,6 +2,7 @@
 //! baseline timing sanity, and SPEAR episode mechanics on hand-built
 //! programs and p-thread tables.
 
+use spear_compiler::{CompilerConfig, SpearCompiler};
 use spear_cpu::{Core, CoreConfig, RunExit};
 use spear_exec::Interp;
 use spear_isa::asm::Asm;
@@ -443,20 +444,6 @@ fn spear_reduces_main_thread_misses() {
 }
 
 #[test]
-fn empty_table_behaves_like_baseline() {
-    let p = pointer_chase(4096, 2000);
-    let plain = SpearBinary::plain(p);
-    let base = run_core(&plain, CoreConfig::baseline());
-    let spear_no_table = run_core(&plain, CoreConfig::spear(128));
-    assert_eq!(base.stats.committed, spear_no_table.stats.committed);
-    assert_eq!(
-        base.stats.cycles, spear_no_table.stats.cycles,
-        "SPEAR hardware with no p-threads must be cycle-identical to baseline"
-    );
-    assert_eq!(spear_no_table.stats.triggers_accepted, 0);
-}
-
-#[test]
 fn separate_fu_model_also_works() {
     let b = gather_spear(1 << 15, 2000);
     let res = run_core(&b, CoreConfig::spear_sf(128));
@@ -472,14 +459,22 @@ fn idle_spear_front_end_is_the_baseline_cycle_for_cycle() {
     // context have nothing to do, so SPEAR and SPEAR.sf must time exactly
     // as the baseline running the compiled binary (whose table it
     // ignores): every counter, not only cycles.
-    let b = gather_spear(1 << 15, 3000);
-    let base = run_core(&b, CoreConfig::baseline());
-    let plain = SpearBinary::plain(b.program.clone());
-    for cfg in [CoreConfig::spear(128), CoreConfig::spear_sf(128)] {
-        let name = cfg.model_name();
-        let res = run_core(&plain, cfg);
-        assert_eq!(res.exit, base.exit, "{name}");
-        assert_eq!(res.stats, base.stats, "{name}");
+    let mut ccfg = CompilerConfig::default();
+    ccfg.slicer.dload_min_misses = 4;
+    ccfg.slicer.dload_miss_fraction = 0.0;
+    let (chase, _) = SpearCompiler::new(ccfg)
+        .compile(&pointer_chase(4096, 2000))
+        .expect("compile");
+    for (input, b) in [("gather", gather_spear(1 << 15, 3000)), ("chase", chase)] {
+        assert!(!b.table.entries.is_empty(), "{input}: table to ignore");
+        let base = run_core(&b, CoreConfig::baseline());
+        let plain = SpearBinary::plain(b.program.clone());
+        for cfg in [CoreConfig::spear(128), CoreConfig::spear_sf(128)] {
+            let name = cfg.model_name();
+            let res = run_core(&plain, cfg);
+            assert_eq!(res.exit, base.exit, "{input} {name}");
+            assert_eq!(res.stats, base.stats, "{input} {name}");
+        }
     }
 }
 
