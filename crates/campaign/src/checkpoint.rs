@@ -6,14 +6,16 @@
 //!
 //! - **architectural state** — the register file, the full memory image
 //!   and the next PC, produced by the functional [`Interp`];
-//! - **warm microarchitectural state** — copies of the [`Hierarchy`] and
-//!   [`Predictor`] that a `Warmer` drives over every functionally
-//!   executed instruction: cache contents (tags, validity, dirtiness, LRU
-//!   order) and predictor state (direction tables, BTB, return stack).
+//! - **warm microarchitectural state** — copies of the three [`Cache`]s
+//!   (L1D, L1I, L2) of the [`Hierarchy`] and of the [`Predictor`] that a
+//!   `Warmer` drives over every functionally executed instruction: cache
+//!   contents (tags, validity, dirtiness, LRU order) and predictor state
+//!   (direction tables, BTB, return stack).
 //!
-//! Restore copies only that warm state into the core's own hierarchy and
-//! predictor. In-flight fills, prefetch ownership and all statistics are
-//! reset, so a restored simulation measures only its own region, and the
+//! A checkpoint holds nothing else of the warmer: no latencies, fills in
+//! flight, prefetch ownership or statistics. Restore copies the warm
+//! state into the core's own hierarchy and predictor and resets the
+//! rest, so a restored simulation measures only its own region, and the
 //! core keeps its own latencies. The warm substrate (Table 2 cache
 //! geometry + predictor sizing) is shared by all five evaluated machine
 //! models and is independent of the memory-latency sweep, so one
@@ -25,7 +27,7 @@ use spear_bpred::{Predictor, PredictorConfig};
 use spear_cpu::Core;
 use spear_exec::{Interp, Memory, RegFile, StepInfo};
 use spear_isa::Program;
-use spear_mem::{AccessKind, HierConfig, Hierarchy};
+use spear_mem::{AccessKind, Cache, HierConfig, Hierarchy};
 
 /// A restorable simulation state at an instruction boundary.
 #[derive(Clone, Debug)]
@@ -45,8 +47,12 @@ pub struct Checkpoint {
     pub regs: RegFile,
     /// Full data-memory image.
     pub mem: Memory,
-    /// The warm cache hierarchy (only its three caches are restored).
-    pub hier: Hierarchy,
+    /// The warm L1 data cache.
+    pub l1d: Cache,
+    /// The warm L1 instruction cache.
+    pub l1i: Cache,
+    /// The warm unified L2.
+    pub l2: Cache,
     /// The warm branch predictor.
     pub pred: Predictor,
 }
@@ -61,7 +67,9 @@ impl Checkpoint {
             pc: interp.pc,
             regs: interp.regs.clone(),
             mem: interp.mem.clone(),
-            hier: warmer.hier.clone(),
+            l1d: warmer.hier.l1d.clone(),
+            l1i: warmer.hier.l1i.clone(),
+            l2: warmer.hier.l2.clone(),
             pred: warmer.pred.clone(),
         }
     }
@@ -74,24 +82,12 @@ impl Checkpoint {
     pub fn restore_into(&self, core: &mut Core<'_>) -> Result<(), String> {
         core.restore_arch_state(&self.regs, self.mem.clone(), self.pc);
         core.hierarchy_mut()
-            .restore(&self.hier)
+            .restore(&self.l1d, &self.l1i, &self.l2)
             .map_err(|e| format!("hierarchy restore: {e}"))?;
         core.predictor_mut()
             .restore(&self.pred)
             .map_err(|e| format!("predictor restore: {e}"))?;
         Ok(())
-    }
-
-    /// Resume a functional interpreter from this checkpoint (for chained
-    /// fast-forwarding without re-executing from instruction 0).
-    pub fn resume_interp<'p>(&self, program: &'p Program) -> Interp<'p> {
-        Interp::from_state(
-            program,
-            self.regs.clone(),
-            self.mem.clone(),
-            self.pc,
-            self.inst_index,
-        )
     }
 }
 
@@ -358,9 +354,9 @@ mod tests {
             assert_eq!(a.pc, b.pc);
             assert_eq!(a.regs, b.regs);
             assert_eq!(a.mem, b.mem);
-            assert_eq!(a.hier.l1d, b.hier.l1d);
-            assert_eq!(a.hier.l1i, b.hier.l1i);
-            assert_eq!(a.hier.l2, b.hier.l2);
+            assert_eq!(a.l1d, b.l1d);
+            assert_eq!(a.l1i, b.l1i);
+            assert_eq!(a.l2, b.l2);
             assert_eq!(a.pred, b.pred);
         }
         // A boundary past halt is a loud error, not a silent omission.
@@ -395,7 +391,8 @@ mod tests {
         // Resume from the second checkpoint and run to halt: identical
         // final architectural state.
         let cp = &set.checkpoints[1];
-        let mut resumed = cp.resume_interp(&p);
+        let mut resumed =
+            Interp::from_state(&p, cp.regs.clone(), cp.mem.clone(), cp.pc, cp.inst_index);
         assert_eq!(resumed.icount, cp.inst_index);
         resumed.run(u64::MAX).unwrap();
         assert_eq!(resumed.icount, whole.icount);
@@ -419,9 +416,9 @@ mod tests {
         let warm = &set.checkpoints[1];
         assert_eq!(cold.inst_index, 0);
         // The cold checkpoint has empty caches; the warm one does not.
-        assert!(cold.hier.l1d.valid_block_addrs().is_empty());
+        assert!(cold.l1d.valid_block_addrs().is_empty());
         assert!(
-            !warm.hier.l1d.valid_block_addrs().is_empty(),
+            !warm.l1d.valid_block_addrs().is_empty(),
             "functional warming filled L1D lines"
         );
         // The loop branch trained the bimodal table away from its reset

@@ -135,9 +135,8 @@ fn one_checkpoint_seeds_every_latency_point_without_touching_latency() {
     // One warm shard serves every Figure 9 latency point, so restore
     // copies the warm caches and leaves the core's own latencies alone.
     let cp = checkpoint_with(PredictorConfig::paper());
-    assert_eq!(cp.hier.latency, LatencyConfig::paper());
     let binary = SpearBinary::plain(loop_program());
-    let warm_lines = cp.hier.l1d.valid_block_addrs();
+    let warm_lines = cp.l1d.valid_block_addrs();
     assert!(!warm_lines.is_empty(), "the loop warmed the L1D");
     for memory in [40, 200] {
         let mut cfg = CoreConfig::baseline();

@@ -148,44 +148,6 @@ impl<'p> Interp<'p> {
         Ok(Stop::Halted)
     }
 
-    /// Run until the next time execution reaches `pc` (after at least one
-    /// step), `halt`, or the budget. Returns true if `pc` was reached —
-    /// a breakpoint for workload debugging.
-    pub fn run_until_pc(&mut self, pc: u32, max_insts: u64) -> Result<bool, ExecError> {
-        let budget_end = self.icount + max_insts;
-        while !self.halted && self.icount < budget_end {
-            self.step()?;
-            if self.pc == pc {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Run until any instruction writes inside `[addr, addr+len)`, `halt`,
-    /// or the budget. Returns the PC of the writing instruction — a
-    /// memory watchpoint for workload debugging.
-    pub fn run_until_write(
-        &mut self,
-        addr: u64,
-        len: u64,
-        max_insts: u64,
-    ) -> Result<Option<u32>, ExecError> {
-        let budget_end = self.icount + max_insts;
-        while !self.halted && self.icount < budget_end {
-            let si = self.step()?;
-            if si.inst.op.is_store() {
-                if let Some(ea) = si.outcome.eff_addr {
-                    let w = si.inst.op.mem_width() as u64;
-                    if ea < addr + len && addr < ea + w {
-                        return Ok(Some(si.pc));
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-
     /// Combined architectural checksum (registers + memory), for
     /// differential tests against the cycle-level core.
     pub fn state_checksum(&self) -> u64 {
@@ -279,39 +241,6 @@ mod tests {
         i1.run(u64::MAX).unwrap();
         i2.run(u64::MAX).unwrap();
         assert_eq!(i1.state_checksum(), i2.state_checksum());
-    }
-
-    #[test]
-    fn run_until_pc_breaks_at_loop_head() {
-        let p = sum_loop(10);
-        let loop_pc = *p.labels.get("loop").unwrap();
-        let mut i = Interp::new(&p);
-        assert!(i.run_until_pc(loop_pc, 1_000).unwrap());
-        assert_eq!(i.pc, loop_pc);
-        // Second hit: one full iteration later.
-        let at = i.icount;
-        assert!(i.run_until_pc(loop_pc, 1_000).unwrap());
-        assert_eq!(i.icount - at, 5, "one loop iteration");
-    }
-
-    #[test]
-    fn run_until_write_watches_result() {
-        let p = sum_loop(5);
-        let out = p.data_addr("out").unwrap();
-        let mut i = Interp::new(&p);
-        let pc = i.run_until_write(out, 8, 1_000_000).unwrap();
-        assert!(pc.is_some(), "the final store must trip the watchpoint");
-        assert_eq!(i.mem.read_u64(out), 15);
-    }
-
-    #[test]
-    fn watchpoint_misses_other_addresses() {
-        let p = sum_loop(5);
-        let mut i = Interp::new(&p);
-        // Watch an address nothing writes.
-        let pc = i.run_until_write(1, 1, 1_000_000).unwrap();
-        assert_eq!(pc, None);
-        assert!(i.halted);
     }
 
     #[test]

@@ -239,12 +239,6 @@ impl Opcode {
             _ => 0,
         }
     }
-
-    /// Whether the load destination (or store source) is a floating-point
-    /// register.
-    pub fn mem_is_fp(self) -> bool {
-        matches!(self, Opcode::Fld | Opcode::Fsd)
-    }
 }
 
 impl fmt::Display for Opcode {

@@ -121,16 +121,6 @@ impl CacheStats {
     pub fn misses(&self) -> u64 {
         self.read_misses + self.write_misses
     }
-
-    /// Miss ratio over all accesses (0 when idle).
-    pub fn miss_ratio(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / a as f64
-        }
-    }
 }
 
 /// The cache proper. Write-back, write-allocate.

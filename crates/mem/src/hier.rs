@@ -2,7 +2,7 @@
 //! memory, with the access latencies of Table 2 (and the Figure 9 latency
 //! sweep knobs).
 
-use crate::cache::{Cache, CacheGeometry, CacheStats, ReplPolicy};
+use crate::cache::{Cache, CacheGeometry, ReplPolicy};
 use crate::prefetch::{StrideConfig, StridePrefetcher};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -566,11 +566,6 @@ impl Hierarchy {
         }
     }
 
-    /// L1D statistics snapshot.
-    pub fn l1d_stats(&self) -> CacheStats {
-        self.l1d.stats
-    }
-
     /// Check tag-store well-formedness of all three caches (no duplicate
     /// valid tags within a set, no dirty-but-invalid lines). Returns the
     /// first violation found, prefixed with the offending cache's name.
@@ -601,22 +596,19 @@ impl Hierarchy {
             .count()
     }
 
-    /// Copy the warm contents of another hierarchy's three caches (tags,
-    /// validity, dirtiness, replacement order), built under the same
-    /// cache geometry and policy. Nothing else is copied: this
+    /// Copy the warm contents of three caches (tags, validity, dirtiness,
+    /// replacement order) into this hierarchy's L1D, L1I and L2, each
+    /// built under the same cache geometry and policy as its counterpart
+    /// here. Nothing else is copied: this
     /// hierarchy's latencies, MSHR limit, stride prefetcher and seeded
     /// d-load profile keys stay its own, so one warm hierarchy seeds
     /// cores at every Figure 9 latency point. Statistics, pending fills
     /// and prefetch bookkeeping are reset, so the restored hierarchy
     /// observes only its own accesses.
-    pub fn restore(&mut self, warm: &Hierarchy) -> Result<(), String> {
-        self.l1d
-            .restore(&warm.l1d)
-            .map_err(|e| format!("l1d: {e}"))?;
-        self.l1i
-            .restore(&warm.l1i)
-            .map_err(|e| format!("l1i: {e}"))?;
-        self.l2.restore(&warm.l2).map_err(|e| format!("l2: {e}"))?;
+    pub fn restore(&mut self, l1d: &Cache, l1i: &Cache, l2: &Cache) -> Result<(), String> {
+        self.l1d.restore(l1d).map_err(|e| format!("l1d: {e}"))?;
+        self.l1i.restore(l1i).map_err(|e| format!("l1i: {e}"))?;
+        self.l2.restore(l2).map_err(|e| format!("l2: {e}"))?;
         self.pc_misses = PcMissCounts::default();
         self.pthread_misses = 0;
         self.pthread_accesses = 0;
@@ -804,7 +796,7 @@ mod tests {
         h.access_data(0x4000, AccessKind::Read, 7, true, 0);
         assert_eq!(h.dload_profile(7).pthread_loads, 1);
         let warm = h.clone();
-        h.restore(&warm).unwrap();
+        h.restore(&warm.l1d, &warm.l1i, &warm.l2).unwrap();
         assert_eq!(h.dload_profile(7), PrefetchCounts::default());
         assert_eq!(
             h.dload_profiles()
@@ -931,7 +923,7 @@ mod tests {
         h.access_inst(0x100);
 
         let mut fresh = hier();
-        fresh.restore(&h).expect("same geometry");
+        fresh.restore(&h.l1d, &h.l1i, &h.l2).expect("same geometry");
         // Warm lines hit in the restored hierarchy; nothing is in flight
         // (pending fills are not copied), so hits cost exactly the L1
         // latency.
